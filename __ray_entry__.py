@@ -3285,7 +3285,10 @@ def q_lineitem_agg(sf_dir: str):
 
     from esmarc_ray.ops.relational import partial_groupby_agg
 
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet")
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_orderkey"],
+    )
     out = partial_groupby_agg(
         ds,
         ["l_returnflag", "l_linestatus"],
@@ -13602,16 +13605,26 @@ def oracle_sql() -> dict[str, str]:
         # polynomial rolling 8-gram hash (weights 257^7..257^0, SUM in
         # HUGEINT then mod 2^64 — numpy's per-term uint64 wraparound equals
         # one final mod), windowed min-16 via a ROWS frame, XOR of DISTINCT
-        # window minima via bit_xor(DISTINCT).  Preconditions (hold for the
-        # whole synthetic corpus, asserted offline): ASCII text (codepoint
-        # == byte), no NULLs, every doc >= 8 bytes (the crc32 short-doc
-        # fallback never fires — crc32 has no SQL equivalent).
+        # window minima via bit_xor(DISTINCT).  Preconditions, enforced by
+        # the `guard` CTE (it raises on any violating row): ASCII text
+        # (codepoint == byte), no NULLs, every doc >= 8 bytes (the crc32
+        # short-doc fallback never fires — crc32 has no SQL equivalent).
         "fingerprints": r"""
             WITH
+            guard AS (
+              SELECT CASE WHEN count(*) = 0 THEN 0 ELSE error(
+                       'fingerprints oracle precondition violated: '
+                       || count(*) || ' doc(s) with NULL, non-ASCII or '
+                       || 'shorter than 8-byte text') END AS ok
+              FROM documents
+              WHERE text IS NULL OR strlen(text) < 8
+                 OR strlen(text) <> length(text)
+            ),
             b AS (
               SELECT doc_id, i, ascii(substr(text, i, 1))::HUGEINT AS byte,
                      len(text) AS L
-              FROM documents, unnest(range(1, len(text) + 1)) AS t(i)
+              FROM documents JOIN guard ON guard.ok = 0,
+                   unnest(range(1, len(text) + 1)) AS t(i)
             ),
             w(off, wt) AS (
               VALUES (0, 74051159531521793::HUGEINT),

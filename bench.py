@@ -60,7 +60,7 @@ def one_pass(
     metric, and skipping the plain write + the 19 secondaries cuts each
     leg's wall time to the measurement itself.
     """
-    from esmarc_ray.io import read_documents
+    from esmarc_ray.io import read_documents, write_table
     from esmarc_ray.stages.canonicalize import canonicalize
     from esmarc_ray.stages.extract import docs_to_triples, extract_docs
     from esmarc_ray.stages.link import link_entities
@@ -90,8 +90,8 @@ def one_pass(
     if not headline_only:
         # continuity headline: full KG pipeline, plain partitioned write
         t0 = time.perf_counter()
-        fused_triples().write_parquet(
-            str(out_dir), partition_cols=["entity_class"]
+        write_table(
+            fused_triples(), str(out_dir), partition_cols=["entity_class"]
         )
         timings["kg_end_to_end"] = round(time.perf_counter() - t0, 3)
 

@@ -23,6 +23,12 @@ try:  # pragma: no cover - not installed in this sandbox
 except ImportError:
     HAVE_LANCE = False
 
+# the one parquet codec of every table the KG pipeline persists: the phase-1
+# docs checkpoint, the canonical/ checkpoint and the triple shards (see
+# stages/materialize.py) — zstd is about half snappy's size on this data,
+# and no slower to write or read back
+PARQUET_COMPRESSION = "zstd"
+
 
 def compile_query_filter(query: Any) -> Any:
     """Compile a JSON query prefilter to a pyarrow Expression.
@@ -87,7 +93,7 @@ def write_table(ds: ray.data.Dataset, path: str, *, format: str = "parquet", **k
     if format == "lance" and HAVE_LANCE:
         ds.write_lance(path, **kwargs)
     else:
-        ds.write_parquet(path, **kwargs)
+        ds.write_parquet(path, compression=PARQUET_COMPRESSION, **kwargs)
 
 
 def write_jsonld(

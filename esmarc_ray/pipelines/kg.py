@@ -110,12 +110,12 @@ def run_kg_pipeline(
             import shutil
 
             shutil.rmtree(canon_dir)
-        canonical.write_parquet(str(canon_dir))
+        write_table(canonical, str(canon_dir))
         canonical = ray.data.read_parquet(str(canon_dir))
 
         from esmarc_ray.io import write_jsonld
 
-        # write_parquet/write_jsonld file names are unique per run — wipe the
+        # write_table/write_jsonld file names are unique per run — wipe the
         # sink dir (like canonical/ and the triple shards) or a resumed run
         # would accumulate a second copy of every .ldj stream
         jsonld_dir = out / "jsonld"

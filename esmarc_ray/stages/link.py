@@ -378,7 +378,7 @@ class EntityLinker:
             pc.invert(pc.is_in(table.column("entity_class"), value_set=pa.array(["_error", "_dropped"])))
         )
         # pack + compress the doc payload for the canonicalize exchange:
-        # one zlib super-row per destination partition crosses the
+        # one zstd super-row per destination partition crosses the
         # all-to-all next, and the reducer (_merge_partition) unpacks
         # transparently
         return _pack_compress(

@@ -14,7 +14,7 @@ tiny partials into the manifest.  One pass over the triples — at 100 TB the
 output is written once and never re-read for lineage (the previous design
 re-read the entire freshly-written shard to compute the same numbers).
 
-Layout::
+Layout (zstd parquet, ``esmarc_ray.io.PARQUET_COMPRESSION``)::
 
     out_dir/
       shard=00000/
@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data import Datasink
 
-from esmarc_ray.io import HAVE_LANCE, write_table
+from esmarc_ray.io import HAVE_LANCE, PARQUET_COMPRESSION, write_table
 
 
 def _xor_crc(batch: pa.Table) -> int:
@@ -126,7 +126,10 @@ class ManifestParquetSink(Datasink):
                 )
                 part_dir.mkdir(parents=True, exist_ok=True)
                 path = part_dir / f"part-{ctx.task_idx:05d}-{bi}-{j}.parquet"
-                pq.write_table(sub.drop_columns(self.partition_cols), path)
+                pq.write_table(
+                    sub.drop_columns(self.partition_cols), path,
+                    compression=PARQUET_COMPRESSION,
+                )
                 if "entity_class" in part:
                     counts = {str(part["entity_class"]): sub.num_rows}
                 elif "entity_class" in sub.column_names:

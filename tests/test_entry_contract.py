@@ -76,5 +76,23 @@ def test_query_matches_oracle(name, ray_session, oracle_con):
     assert value_hash(ours) == value_hash(expected), f"{name}: value hash mismatch"
 
 
+@pytest.mark.parametrize(
+    "bad_text", ["short", None, "Görlitz, Zwickau"], ids=["short", "null", "non-ascii"]
+)
+def test_fingerprints_oracle_guards_its_preconditions(bad_text):
+    """The fingerprints oracle mirrors the engine only on ASCII, non-NULL,
+    >= 8-byte docs; one violating row must make it raise, not mis-hash."""
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE TABLE documents AS SELECT * FROM read_parquet('{SF_DIR}/documents.parquet')"
+    )
+    con.execute(
+        "UPDATE documents SET text = ? WHERE doc_id = (SELECT min(doc_id) FROM documents)",
+        [bad_text],
+    )
+    with pytest.raises(duckdb.Error, match="precondition violated"):
+        con.execute(entrymod.oracle_sql()["fingerprints"]).df()
+
+
 def test_oracle_keys_subset_of_queries():
     assert set(entrymod.oracle_sql()) <= set(entrymod.queries())

@@ -229,12 +229,20 @@ PINNED_MANIFEST = {
 }
 
 
-def test_kg_manifest_pinned(ray_session, tmp_path, monkeypatch):
-    write_corpus(str(tmp_path / "in"), PINNED_SPEC, rows_per_file=100)
+@pytest.fixture(scope="module")
+def pinned_run(ray_session, tmp_path_factory):
+    """One clean run over the pinned corpus: (run dir, link tables, manifest)."""
+    path = tmp_path_factory.mktemp("pinned")
+    write_corpus(str(path / "in"), PINNED_SPEC, rows_per_file=100)
     tables = link_tables(PINNED_SPEC)
     manifest = run_kg_pipeline(
-        str(tmp_path / "in"), str(tmp_path / "out"), link_tables=tables, num_shards=2
+        str(path / "in"), str(path / "out"), link_tables=tables, num_shards=2
     )
+    return path, tables, manifest
+
+
+def test_kg_manifest_pinned(pinned_run, monkeypatch):
+    run_dir, tables, manifest = pinned_run
     got = {key: manifest["triples"][key] for key in PINNED_MANIFEST}
     assert got == PINNED_MANIFEST
 
@@ -246,10 +254,33 @@ def test_kg_manifest_pinned(ray_session, tmp_path, monkeypatch):
 
     monkeypatch.setattr(kg, "build_link_indexes", no_build)
     resumed = run_kg_pipeline(
-        str(tmp_path / "in"), str(tmp_path / "out"), link_tables=tables, num_shards=2
+        str(run_dir / "in"), str(run_dir / "out"), link_tables=tables, num_shards=2
     )
     assert {s["status"] for s in resumed["shards"]} == {"skipped(resume)"}
     assert resumed["triples"]["content_hash"] == PINNED_MANIFEST["content_hash"]
+
+
+def test_resume_over_snappy_docs_checkpoint(pinned_run, tmp_path):
+    """A docs checkpoint written with parquet's default snappy codec, as
+    before the pipeline wrote zstd, still resumes to the pinned manifest.
+    Only shard 0 is rewritten, so the resumed read also mixes codecs."""
+    import pyarrow.parquet as pq
+
+    run_dir, tables, _ = pinned_run
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out" / "docs", out / "docs")  # no triples/
+    rewritten = sorted((out / "docs" / "shard=00000").glob("*.parquet"))
+    assert rewritten
+    for path in rewritten:
+        pq.write_table(pq.ParquetFile(path).read(), path, compression="snappy")
+        assert pq.ParquetFile(path).metadata.row_group(0).column(0).compression == "SNAPPY"
+
+    resumed = run_kg_pipeline(
+        str(run_dir / "in"), str(out), link_tables=tables, num_shards=2
+    )
+    assert {s["status"] for s in resumed["shards"]} == {"skipped(resume)"}
+    got = {key: resumed["triples"][key] for key in PINNED_MANIFEST}
+    assert got == PINNED_MANIFEST
 
 
 # Runs run_kg_pipeline with the DEFAULT link_concurrency in a fresh Ray
