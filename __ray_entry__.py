@@ -3245,11 +3245,12 @@ def q_kg_canonical(sf_dir: str):
 
 
 def q_kg_canonical_split(sf_dir: str):
-    """Same canonical entity set through the dup-key split plan (unique-key
-    docs bypass the payload shuffle); bit-for-bit equality with the other
-    plans is pytest-gated (test_canonicalize_split_equals_precombine) AND
-    oracle-checked against the same independent SQL derivation."""
-    return _kg_canonical_with_mirror(sf_dir, "keyed_docs_split", precombine="split")
+    """Same canonical entity set through the production pre-combine plan
+    (``precombine=True``), over its own mirror, oracle-checked against the
+    same independent SQL derivation.  The name outlived the dup-key split
+    plan it once ran; equality of the pre-combine, salted and unsalted plans
+    is pytest-gated (test_canonicalize_salted_equals_unsalted)."""
+    return _kg_canonical_with_mirror(sf_dir, "keyed_docs_split", precombine=True)
 
 
 def q_kg_canonical_closure(sf_dir: str):
@@ -3504,7 +3505,7 @@ def q_purchase_last_click(sf_dir: str):
     out = partitioned_asof_join(
         purchases, clicks, on="ts", by="user_id"
     ).to_pandas()
-    out["click_id"] = out["click_id"].fillna(-1).astype("int64")
+    out["click_id"] = out["click_id"].astype("Int64").fillna(-1).astype("int64")
     # the union's null-filled side leaves event_id object-typed; restore int
     out["event_id"] = out["event_id"].astype("int64")
     return out[["event_id", "click_id"]]
@@ -9360,7 +9361,7 @@ def q_purchase_next_click(sf_dir: str):
         purchases, clicks, on="ts", by="user_id",
         direction="forward", tolerance=pd.Timedelta(hours=1),
     ).to_pandas()
-    out["click_id"] = out["click_id"].fillna(-1).astype("int64")
+    out["click_id"] = out["click_id"].astype("Int64").fillna(-1).astype("int64")
     out["event_id"] = out["event_id"].astype("int64")
     return out[["event_id", "click_id"]]
 
@@ -13564,11 +13565,13 @@ def oracle_sql() -> dict[str, str]:
         """,
         # 4-truss peel re-derived by a recursive CTE: an edge survives a
         # round iff its endpoints share >= 2 common neighbors within the
-        # PREVIOUS round's surviving edge set (working-table semantics; the
-        # correlated count decorrelates into one wedge join per round).
-        # Node ids are VARCHAR-normalized exactly like the engine's
-        # undirect step (string least/greatest).  Post-fixpoint iterations
-        # repeat the stable rows, so rows at max(iter) are the truss.
+        # PREVIOUS round's surviving edge set (working-table semantics).
+        # Each round counts every edge's common neighbors with one wedge
+        # join over that round's adjacency (both directions of every
+        # surviving edge), grouped per edge.  Node ids are VARCHAR-
+        # normalized exactly like the engine's undirect step (string
+        # least/greatest).  Post-fixpoint iterations repeat the stable
+        # rows, so rows at max(iter) are the truss.
         "copurchase_ktruss": """
             WITH RECURSIVE
             d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem
@@ -13583,20 +13586,16 @@ def oracle_sql() -> dict[str, str]:
             alive AS (
               SELECT 0 AS iter, a, b FROM e0
               UNION ALL
-              SELECT e.iter + 1, e.a, e.b
-              FROM alive e
-              WHERE e.iter < 16 AND 2 <= (
-                SELECT count(*) FROM
-                  (SELECT a AS u, b AS v FROM alive WHERE iter = e.iter
-                   UNION ALL
-                   SELECT b, a FROM alive WHERE iter = e.iter) x
-                  JOIN
-                  (SELECT a AS u, b AS v FROM alive WHERE iter = e.iter
-                   UNION ALL
-                   SELECT b, a FROM alive WHERE iter = e.iter) y
-                  ON x.v = y.v
-                WHERE x.u = e.a AND y.u = e.b
-              )
+              (WITH
+               cur AS (SELECT iter, a, b FROM alive WHERE iter < 16),
+               adj AS (SELECT a AS u, b AS v FROM cur
+                       UNION ALL SELECT b, a FROM cur)
+               SELECT c.iter + 1, c.a, c.b
+               FROM cur c
+               JOIN adj x ON x.u = c.a
+               JOIN adj y ON y.u = c.b AND y.v = x.v
+               GROUP BY c.iter, c.a, c.b
+               HAVING count(*) >= 2)
             )
             SELECT a, b FROM alive
             WHERE iter = (SELECT max(iter) FROM alive)

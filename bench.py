@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark harness.
 
-Default: run the headline pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) under ray.init(address="local",
+Default: run the headline KG pipeline (``run_kg_pipeline``, the CLI's DAG)
+plus the secondary queries over $GRAFT_SF_DIR (default: the sf0.1 test-data
+directory, see ``SF_DIR``) under ray.init(address="local",
 num_cpus=$RAY_GRAFT_CPUS or 32) and print ONE JSON line::
 
-    {"metric": "kg_end_to_end", "value": <sec>, "unit": "sec",
+    {"metric": "kg_production", "value": <sec>, "unit": "sec",
      "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
      "docs_per_sec": ..., "triples_per_sec": ...}
 
@@ -50,66 +51,34 @@ def corpus_for(sf_dir: str) -> tuple[str, int]:
 
 
 def one_pass(
-    entrymod, corpus: str, indexes_ref, out_dir: pathlib.Path,
+    entrymod, corpus: str, tables: dict, out_dir: pathlib.Path,
     headline_only: bool = False,
 ) -> dict[str, float]:
     """One timed pass over the headline KG pipeline + secondary queries.
 
     ``headline_only`` (set by --scaling's subprocess legs) runs ONLY the
     production headline — the scaling criterion measures exactly that
-    metric, and skipping the plain write + the 19 secondaries cuts each
-    leg's wall time to the measurement itself.
+    metric, and skipping the 19 secondaries cuts each leg's wall time to the
+    measurement itself.
     """
-    from esmarc_ray.io import read_documents, write_table
-    from esmarc_ray.stages.canonicalize import canonicalize
-    from esmarc_ray.stages.extract import docs_to_triples, extract_docs
-    from esmarc_ray.stages.link import link_entities
-    from esmarc_ray.stages.materialize import materialize_shard
+    from esmarc_ray.pipelines.kg import run_kg_pipeline
 
+    # a leftover out_dir would let this pass resume the previous one's
+    # phase-1 shards instead of rebuilding them
     if out_dir.exists():
         shutil.rmtree(out_dir)
 
     timings: dict[str, float] = {}
 
-    def fused_triples():
-        # split the read into ~3 blocks per CPU so every stage upstream of
-        # the canonicalize shuffle runs wide (files carry 2048-row groups).
-        # Ray fuses read → extract (the dominant per-doc mapping stage) →
-        # link into one task operator.  Fused pre-combine: the batch-local
-        # merge combiner + hash-partition id run in the same link task, so
-        # the doc payload crosses the object store once, already packed.
-        docs = extract_docs(
-            read_documents(corpus, override_num_blocks=NUM_CPUS * 3)
-        )
-        linked = link_entities(docs, indexes_ref, combine_partitions=256)
-        canonical = canonicalize(
-            linked, precombine="fused", num_partitions=256
-        )
-        return docs_to_triples(canonical)
-
-    if not headline_only:
-        # continuity headline: full KG pipeline, plain partitioned write
-        t0 = time.perf_counter()
-        write_table(
-            fused_triples(), str(out_dir), partition_cols=["entity_class"]
-        )
-        timings["kg_end_to_end"] = round(time.perf_counter() - t0, 3)
-
-    # PRODUCTION headline: the same fused pipeline consumed by the
-    # production sink — SORTED partitioned write + lineage manifest +
-    # _SUCCESS marker (materialize_shard, pipelines/kg.py).  The north-rule
-    # metric includes this sink; kg_end_to_end above is kept for
-    # round-over-round comparability of the pipeline minus the sort.
-    prod_dir = out_dir.parent / f"{out_dir.name}-prod"
+    # PRODUCTION headline: the CLI's DAG — extract + link per input shard,
+    # docs checkpoint, pre-combine canonicalize, SORTED triple write with
+    # lineage manifest + _SUCCESS marker (pipelines/kg.py)
     t0 = time.perf_counter()
-    manifest = materialize_shard(
-        fused_triples(), prod_dir / "shard=00000",
-        inputs=[corpus], sort=True,
-    )
+    manifest = run_kg_pipeline(corpus, str(out_dir), link_tables=tables)
     timings["kg_production"] = round(time.perf_counter() - t0, 3)
-    # triple count comes free from the sink's lineage manifest (identical
-    # to the plain write's count — same pipeline)
-    timings["__n_triples"] = manifest["row_count"]
+    if any(s["status"] != "built" for s in manifest["shards"]):
+        raise RuntimeError(f"headline pass resumed instead of rebuilding: {manifest['shards']}")
+    timings["__n_triples"] = manifest["triples"]["row_count"]
     if headline_only:
         return timings
 
@@ -151,16 +120,14 @@ def run_bench() -> dict:
              logging_level="error", log_to_driver=False)
     import __ray_entry__ as entrymod
     from esmarc_ray.corpus import CorpusSpec, link_tables
-    from esmarc_ray.stages.link import build_link_indexes
 
     corpus, n_docs = corpus_for(SF_DIR)
-    spec = CorpusSpec(n_docs=n_docs, seed=42)
-    indexes_ref = ray.put(build_link_indexes(link_tables(spec)))
+    tables = link_tables(CorpusSpec(n_docs=n_docs, seed=42))
     out_dir = SCRATCH / f"triples-{NUM_CPUS}"
     headline_only = bool(os.environ.get("GRAFT_HEADLINE_ONLY"))
 
     all_passes = [
-        one_pass(entrymod, corpus, indexes_ref, out_dir, headline_only)
+        one_pass(entrymod, corpus, tables, out_dir, headline_only)
         for _ in range(reps)
     ]
     ray.shutdown()
@@ -172,10 +139,9 @@ def run_bench() -> dict:
         if name != "__n_triples"
     }
     prod_seconds = timings["kg_production"]
-    out = {
+    return {
         # headline = the PRODUCTION pipeline (sorted materialize + lineage
-        # manifest — the north-rule sink); kg_end_to_end (same pipeline,
-        # plain partitioned write) rides in queries for continuity
+        # manifest — the north-rule sink)
         "metric": "kg_production",
         "value": prod_seconds,
         "unit": "sec",
@@ -189,12 +155,6 @@ def run_bench() -> dict:
         "reps": reps,
         "kg_production_all_reps_sec": [p["kg_production"] for p in all_passes],
     }
-    if not headline_only:
-        kg_seconds = timings["kg_end_to_end"]
-        out["docs_per_sec_unsorted"] = round(n_docs / kg_seconds, 1)
-        out["triples_per_sec_unsorted"] = round(n_triples / kg_seconds, 1)
-        out["kg_all_reps_sec"] = [p["kg_end_to_end"] for p in all_passes]
-    return out
 
 
 def run_scaling() -> dict:

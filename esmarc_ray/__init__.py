@@ -7,9 +7,10 @@ engine (slub/esmarc, surveyed in /root/repo/SURVEY.md) as streaming
 * span-encoded interleaved text+media documents (``codec``)
 * stateless ``map_batches`` extraction to (subj, pred, obj) triples
   (``stages.extract``, ``mapping``)
-* actor-pool entity linking against sharded in-memory indexes
-  (``stages.link``)
-* salted groupby canonicalization (``stages.canonicalize``)
+* task-pool entity linking against broadcast in-memory indexes, fused
+  with extraction (``stages.link``)
+* canonicalization: a batch-local pre-combine, then one hash-partitioned
+  merge on normalized entity keys (``stages.canonicalize``)
 * sorted, partitioned, resumable graph materialize (``stages.materialize``)
 
 plus the generic large-scale training-data operators (``ops``): dedup,

@@ -46,8 +46,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="dump mapped docs to stdout instead of writing the triple table")
     parser.add_argument("-w", type=int, default=8,
                         help="CPUs for the local Ray session")
-    parser.add_argument("-z", action="store_true",
-                        help="compress output parquet with gzip (default snappy)")
     parser.add_argument("-base_id_src", type=str,
                         default="https://opac.k10plus.de/DB=2.299/PPNSET?PPN=",
                         help="base_id URI prefix for sameAs construction")
@@ -55,8 +53,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="URI prefix for minted @ids")
     parser.add_argument("-shards", type=int, default=4,
                         help="resumable input shards for the extract phase")
-    parser.add_argument("-salts", type=int, default=16,
-                        help="salt count for the canonicalize shuffle")
     parser.add_argument("-jsonld", action="store_true",
                         help="also write reference-format per-entity-class "
                              ".ldj JSON-LD streams under <prefix>/jsonld")
@@ -108,7 +104,6 @@ def run(argv: list[str] | None = None) -> int:
         args.prefix,
         config=config,
         num_shards=args.shards,
-        n_salts=args.salts,
         jsonld=args.jsonld,
         query=args.query,
     )

@@ -1,7 +1,8 @@
 """End-to-end KG-construction pipeline.
 
     read spans → extract + entity-link (one fused task map) → canonicalize
-    (salted groupby) → triples → sorted partitioned write
+    (batch-local pre-combine, one hash-partitioned merge) → triples →
+    sorted partitioned write
 
 Resume model (north rule: "resumable from checkpoint with per-partition
 lineage"):
@@ -53,9 +54,6 @@ def run_kg_pipeline(
     config: EngineConfig = DEFAULT_CONFIG,
     link_tables: dict | None = None,
     num_shards: int = 4,
-    n_salts: int = 16,
-    salted: bool = True,
-    precombine: bool = True,
     resume: bool = True,
     link_concurrency: int | None = None,
     jsonld: bool = False,
@@ -98,9 +96,7 @@ def run_kg_pipeline(
     # ---- phase 2: canonicalize + materialize (wide, streaming) -------------
     doc_files = sorted(str(p) for p in docs_dir.glob("shard=*/*.parquet"))
     docs_ds = ray.data.read_parquet(doc_files)
-    canonical = canonicalize(
-        docs_ds, n_salts=n_salts, salted=salted, precombine=precombine
-    )
+    canonical = canonicalize(docs_ds, precombine=True)
     jsonld_summary = None
     if jsonld:
         # two consumers of the canonical stream (LDJ sink + triples) — park

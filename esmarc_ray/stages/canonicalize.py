@@ -5,11 +5,14 @@ the north rule's addition.  Design:
 
 * key: ``canon_key`` computed at extract time (GND id > ISIL+PPN > @id);
 * skew: head entities (ubiquitous GND subjects) make a naive
-  ``groupby(canon_key)`` shuffle hot — so the merge runs in two phases:
-  a PARTIAL merge grouped on ``(canon_key, salt)`` where ``salt =
-  hash(doc_id) % n_salts`` splits a hot key across reducers, then a FINAL
-  merge on ``canon_key`` alone over the (much smaller) partials.  Associative
-  + commutative merge ⇒ salted == unsalted (tested).
+  ``groupby(canon_key)`` shuffle hot — so the production plan PRE-COMBINES:
+  a batch-local merge collapses each input batch's duplicate keys before
+  the one hash-partitioned final merge, so a hot key reaches its reducer
+  as at most one partial per source batch.  The ``precombine=False``
+  alternatives are a salted two-phase merge (``salt = hash(doc_id) %
+  n_salts`` splits a hot key across reducers, then a final merge on
+  ``canon_key`` alone) and the unsalted single-shuffle reference.
+  Associative + commutative merge ⇒ every plan agrees bit-for-bit (tested).
 * merge semantics: representative = smallest doc_id (deterministic);
   predicates union with order-stable dedup; the merged doc records its
   members under ``_merged_from``.
@@ -123,17 +126,6 @@ def _hash_mod_col(col, mod: int):
     ).astype("int32")
 
 
-def _part_of(key: str, num_partitions: int) -> int:
-    """Scalar twin of :func:`_hash_mod_col` — kept consistent so scalar and
-    columnar call sites co-partition."""
-    import pandas as pd
-
-    return int(
-        pd.util.hash_pandas_object(pd.Series([key]), index=False).iloc[0]
-        % num_partitions
-    )
-
-
 def _make_add_part(num_partitions: int, n_salts: int | None):
     """Stateless batch fn adding the hash-partition id over (canon_key[, salt])."""
     import pandas as pd
@@ -197,7 +189,7 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
     """Pack a part-keyed doc batch into one compressed super-row per
     destination partition (see module comment above) — the map side of every
     canonicalize exchange.  Requires the ``part`` column; no-op on batches
-    that lack it or are already packed.
+    that lack it.
 
     Fully vectorized: one Arrow ``take`` gathers every column into
     part-sorted order, the metadata list columns are built zero-copy from
@@ -206,7 +198,7 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
     (Arrow string offsets ARE the byte offsets) — no per-row Python gather
     anywhere; only the zstd call itself runs once per (batch × part)."""
     names = batch.schema.names
-    if "doc_json" not in names or "part" not in names or "packed_blob" in names:
+    if "doc_json" not in names or "part" not in names:
         return batch
     has_links = "n_links_added" in names
     has_salt = "salt" in names
@@ -417,111 +409,6 @@ def _partition_merge(
         zero_copy_batch=True,
     )
     return keyed.groupby("part").map_groups(_merge_partition, batch_format="pyarrow")
-
-
-def _split_merge(
-    combined: ray.data.Dataset,
-    *,
-    num_partitions: int,
-    has_part: bool,
-    dup_key_limit: int = 2_000_000,
-) -> ray.data.Dataset:
-    """Shuffle-only-what-merges plan: a NARROW key-count pass finds the
-    canon_keys held by ≥2 docs (post-combine, typically a few % of the
-    corpus); docs with a unique key BYPASS the payload shuffle entirely and
-    only duplicate-key docs take the hash-partitioned merge.
-
-    Shuffle arithmetic vs the pre-combine plan: the count pass moves one
-    (key) string per (batch × local-distinct-key) — ~1-2% of payload bytes —
-    and the merge shuffle moves only the duplicate docs' payload (measured
-    ~4% of rows on the bench corpus), so total shuffled payload drops ~25×.
-    The price is one materialize barrier (the doc payload parks in the
-    object store once instead of streaming into the sort).
-
-    The dup-key set is driver-collected and broadcast (``ray.put``) —
-    size-gated by ``dup_key_limit``: above it (extreme dup rates / 10^9+
-    entities) the plan falls back to the full hash-partitioned merge, which
-    needs no driver state."""
-    import pandas as pd
-
-    if has_part and "packed_blob" in combined.schema().names:
-        # fused-linker input arrives packed (one super-row per part); this
-        # plan filters per DOC, so unpack back to plain rows first — the
-        # dup-doc exchange below re-packs what actually shuffles
-        combined = combined.map_batches(
-            _unpack_rows, batch_format="pyarrow", zero_copy_batch=True
-        )
-    combined = combined.materialize()
-
-    def local_counts(batch: pa.Table) -> "pd.DataFrame":
-        vc = pd.Series(batch.column("canon_key").to_pylist()).value_counts()
-        df = pd.DataFrame({"canon_key": vc.index, "n": vc.to_numpy()})
-        df["__part"] = (
-            pd.util.hash_pandas_object(df["canon_key"], index=False) % num_partitions
-        ).astype("int32")
-        return df
-
-    def dup_only(part: "pd.DataFrame") -> "pd.DataFrame":
-        agg = part.groupby("canon_key", as_index=False, sort=False)["n"].sum()
-        return agg.loc[agg["n"] >= 2, ["canon_key"]]
-
-    dup_keys = (
-        combined.map_batches(local_counts, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(dup_only, batch_format="pandas")
-        .materialize()
-    )
-    if dup_keys.count() > dup_key_limit:
-        merge_in = combined if has_part else combined.map_batches(
-            _make_add_part(num_partitions, None), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return (
-            merge_in.map_batches(
-                _pack_compress, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("part")
-            .map_groups(_merge_partition, batch_format="pyarrow")
-        )
-    dup_ref = ray.put(frozenset(r["canon_key"] for r in dup_keys.take_all()))
-
-    def split(batch: pa.Table, *, dup_set, keep_dup: bool) -> pa.Table:
-        dups = ray.get(dup_set) if isinstance(dup_set, ray.ObjectRef) else dup_set
-        mask = pa.array(
-            [(k in dups) == keep_dup for k in batch.column("canon_key").to_pylist()],
-            pa.bool_(),
-        )
-        out = batch.filter(mask)
-        if not keep_dup:
-            drop = [c for c in ("part", "salt") if c in out.schema.names]
-            if drop:
-                out = out.drop_columns(drop)
-        return out
-
-    bypass = combined.map_batches(
-        split, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"dup_set": dup_ref, "keep_dup": False},
-    )
-    if not ray.get(dup_ref):
-        return bypass
-    dup_docs = combined.map_batches(
-        split, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"dup_set": dup_ref, "keep_dup": True},
-    )
-    if not has_part:
-        dup_docs = dup_docs.map_batches(
-            _make_add_part(num_partitions, None), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    merged = (
-        dup_docs.map_batches(
-            # only the dup docs cross the all-to-all — pack + compress them
-            _pack_compress, batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("part")
-        .map_groups(_merge_partition, batch_format="pyarrow")
-    )
-    return bypass.union(merged)
 
 
 @derive_width
@@ -745,67 +632,29 @@ def _rewrite_keys(docs: ray.data.Dataset, mapping: ray.data.Dataset,
     )
 
 
-def estimate_salts(
-    docs: ray.data.Dataset,
-    *,
-    target_parallelism: int = 64,
-    sample_rows: int = 100_000,
-    max_salts: int = 64,
-) -> int:
-    """Pick the salt factor from a bounded key-frequency sketch.
-
-    Unsalted, the head ``canon_key``'s group is one reducer task; its share of
-    total work should be ≤ 1/P, so salts ≈ ceil(head_share × P).  The sketch
-    reads only the key column of the first ``sample_rows`` rows (limit — no
-    full scan); head-entity skew is global (ubiquitous GND subjects appear
-    everywhere), so a prefix sample sees it.
-    """
-    import math
-
-    from collections import Counter
-
-    counts: Counter = Counter()
-    sampled = 0
-    key_col = docs.select_columns(["canon_key"]).limit(sample_rows)
-    for batch in key_col.iter_batches(batch_format="pyarrow"):
-        keys = batch.column("canon_key").to_pylist()
-        counts.update(k for k in keys if k)
-        sampled += len(keys)
-    if not counts or sampled == 0:
-        return 1
-    head_share = counts.most_common(1)[0][1] / sampled
-    return max(1, min(max_salts, math.ceil(head_share * target_parallelism)))
-
-
 def canonicalize(
     docs: ray.data.Dataset,
     *,
-    n_salts: int | str = 16,
+    n_salts: int = 16,
     salted: bool = True,
-    precombine: bool | str = False,
+    precombine: bool = False,
     num_partitions: int | None = None,
     closure: bool = False,
 ) -> ray.data.Dataset:
-    """Canonical merge on ``canon_key``; three physical plans, same algebra:
+    """Canonical merge on ``canon_key``; one production plan, same algebra
+    as its two reference alternatives:
 
-    * ``precombine=True`` (the preferred scale plan): a BATCH-LOCAL combiner
-      (``map_batches`` of the same associative merge, zero shuffle) collapses
-      each batch's duplicate keys — a head entity at x% corpus frequency
-      shrinks by its per-batch occupancy — then ONE hash-partitioned final
-      merge.  Halves shuffle bytes vs the salted plan and neutralizes
-      head-key stragglers without a frequency sketch.
-    * ``precombine="fused"``: the input already ran the combiner + partition
-      id inside the link tasks (``link_entities(...,
-      combine_partitions=N)`` — N must equal ``num_partitions``); only the
-      final shuffle + merge runs here.  Saves one full object-store pass of
-      the doc payload vs ``precombine=True``.
-    * ``salted=True`` (default): two-phase salted partial → final merge,
-      two full shuffles.  ``n_salts="auto"`` sizes the salt factor from a
-      bounded key-frequency sketch (:func:`estimate_salts`); skew-free
-      inputs then skip the partial phase.  An EXPLICIT ``salted=False`` is
-      honored — auto never turns salting back on.
-    * ``salted=False``: single-shuffle variant (the correctness reference
-      for both other plans; fine for small inputs).
+    * ``precombine=True`` (production: ``run_kg_pipeline``, ``entry()``): a
+      BATCH-LOCAL combiner (``map_batches`` of the same associative merge,
+      zero shuffle) collapses each batch's duplicate keys — a head entity at
+      x% corpus frequency shrinks by its per-batch occupancy — then ONE
+      hash-partitioned final merge.  Halves shuffle bytes vs the salted plan
+      and neutralizes head-key stragglers without a frequency sketch;
+      ``n_salts`` and ``salted`` are ignored.
+    * ``precombine=False, salted=True``: two-phase salted partial (``n_salts``
+      salts per key) → final merge, two full shuffles.
+    * ``precombine=False, salted=False``: single-shuffle variant — the
+      correctness reference the other plans are tested against.
 
     ``closure=True`` first rewrites keys through the sameAs/identifier
     connected components, so entities transitively linked via shared GND ids
@@ -813,46 +662,15 @@ def canonicalize(
 
     ``num_partitions=None`` derives the exchange width from the input size /
     cluster (``esmarc_ray.config.derive_partitions``, floored at 256 so the
-    flagship merge never narrows below its tuned dev width) — the fused plan
-    must receive the SAME explicit N the linker used.
+    flagship merge never narrows below its tuned dev width).
     """
     if num_partitions is None:
         from esmarc_ray.config import dataset_size_hint, derive_partitions
 
         num_partitions = max(256, derive_partitions(dataset_size_hint(docs)))
-    if precombine == "fused":
-        if closure:
-            raise ValueError("closure requires the un-partitioned doc stream; "
-                             "use precombine=True with closure=True")
-        return docs.groupby("part").map_groups(
-            _merge_partition, batch_format="pyarrow"
-        )
-    if precombine == "split":
-        # dup-key split plan (see _split_merge): unique-key docs bypass the
-        # payload shuffle.  Input either fresh (filter+combine here) or the
-        # fused linker output (already combined, carries "part").
-        if closure:
-            raise ValueError("closure requires the un-partitioned doc stream; "
-                             "use precombine=True with closure=True")
-        has_part = "part" in docs.schema().names
-        if has_part:
-            combined = docs
-        else:
-            live = docs.filter(
-                expr="entity_class != '_error' and entity_class != '_dropped'"
-            )
-            combined = live.map_batches(
-                _merge_partition, batch_format="pyarrow", zero_copy_batch=True
-            )
-        return _split_merge(
-            combined, num_partitions=num_partitions, has_part=has_part
-        )
     live = docs.filter(
         expr="entity_class != '_error' and entity_class != '_dropped'"
     )
-    if n_salts == "auto":
-        n_salts = estimate_salts(live)
-        salted = salted and n_salts > 1
     if closure:
         mapping = closure_keys(live, num_partitions=max(16, num_partitions // 16))
         live = _rewrite_keys(live, mapping, num_partitions=max(16, num_partitions // 16))

@@ -103,17 +103,9 @@ def _haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 class EntityLinker:
-    """Per-batch callable: enrich entity docs against the link indexes.
+    """Per-batch callable: enrich entity docs against the link indexes."""
 
-    ``combine_partitions`` (optional) fuses the canonicalize pre-combine step
-    into the link call: after linking, the batch drops error/dropped rows,
-    runs the batch-local associative merge, and gains the hash-partition
-    ``part`` column — so the canonicalize shuffle consumes the link output
-    directly, without one extra object-store pass of the doc payload.
-    """
-
-    def __init__(self, indexes: dict[str, Any], combine_partitions: int | None = None):
-        self._combine_partitions = combine_partitions
+    def __init__(self, indexes: dict[str, Any]):
         self._ef = indexes["ef"]
         self._wd = indexes["wd"]
         self._wp = indexes["wp"]
@@ -363,45 +355,23 @@ class EntityLinker:
         table = batch.set_column(
             batch.schema.get_field_index("doc_json"), "doc_json", pa.array(out_json, pa.string())
         )
-        table = table.append_column("n_links_added", pa.array(n_added, pa.int32()))
-        if self._combine_partitions is None:
-            return table
-        from esmarc_ray.stages.canonicalize import (
-            _make_add_part,
-            _merge_partition,
-            _pack_compress,
-        )
-
-        import pyarrow.compute as pc
-
-        live = table.filter(
-            pc.invert(pc.is_in(table.column("entity_class"), value_set=pa.array(["_error", "_dropped"])))
-        )
-        # pack + compress the doc payload for the canonicalize exchange:
-        # one zstd super-row per destination partition crosses the
-        # all-to-all next, and the reducer (_merge_partition) unpacks
-        # transparently
-        return _pack_compress(
-            _make_add_part(self._combine_partitions, None)(_merge_partition(live))
-        )
+        return table.append_column("n_links_added", pa.array(n_added, pa.int32()))
 
 
-# the linker this worker process built last: ((index object id,
-# combine_partitions), EntityLinker) — at most one entry, replaced when a
-# later dataset links against another index.  Keyed by the ref's id, not the
-# ref, so an idle worker does not keep the index pinned in the object store.
-_CACHED_LINKER: tuple[tuple[bytes, int | None], EntityLinker] | None = None
+# the linker this worker process built last: (index object id, EntityLinker)
+# — at most one entry, replaced when a later dataset links against another
+# index.  Keyed by the ref's id, not the ref, so an idle worker does not keep
+# the index pinned in the object store.
+_CACHED_LINKER: tuple[bytes, EntityLinker] | None = None
 
 
-def _link_batch(
-    batch: pa.Table, *, indexes_ref: ray.ObjectRef, combine_partitions: int | None
-) -> pa.Table:
+def _link_batch(batch: pa.Table, *, indexes_ref: ray.ObjectRef) -> pa.Table:
     """Task-pool UDF: link one batch with this worker's cached linker."""
     global _CACHED_LINKER
-    key = (indexes_ref.binary(), combine_partitions)
+    key = indexes_ref.binary()
     if _CACHED_LINKER is None or _CACHED_LINKER[0] != key:
         _CACHED_LINKER = None  # drop the old index before resolving the new one
-        _CACHED_LINKER = (key, EntityLinker(ray.get(indexes_ref), combine_partitions))
+        _CACHED_LINKER = (key, EntityLinker(ray.get(indexes_ref)))
     return _CACHED_LINKER[1](batch)
 
 
@@ -412,7 +382,6 @@ def link_entities(
     concurrency: int | None = None,
     batch_size: int = 1024,
     num_cpus: float = 1,
-    combine_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Link the entity-doc dataset with a stateless task-pool ``map_batches``.
 
@@ -421,9 +390,6 @@ def link_entities(
     caps the number of concurrent link tasks; ``None`` leaves it uncapped,
     so Ray fuses the link map with the extract map before it (and the sink
     after it) into one task operator.
-    ``combine_partitions`` additionally runs the canonicalize pre-combine in
-    the same task (see :class:`EntityLinker`); pair it with
-    ``canonicalize(..., precombine="fused")``.
     """
     if concurrency is not None and not isinstance(concurrency, int):
         raise TypeError(
@@ -432,7 +398,7 @@ def link_entities(
         )
     return docs.map_batches(
         _link_batch,
-        fn_kwargs={"indexes_ref": indexes_ref, "combine_partitions": combine_partitions},
+        fn_kwargs={"indexes_ref": indexes_ref},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from esmarc_ray.cli import parse_args
 
 
@@ -13,6 +15,10 @@ def test_parse_args_defaults():
     args = parse_args(["-input", "/x"])
     assert args.input == "/x" and args.w == 8 and args.shards == 4
     assert args.target_id == "https://data.slub-dresden.de/"
+    # the salt count and output-codec flags are gone: argparse rejects them
+    for removed in (["-salts", "4"], ["-z"]):
+        with pytest.raises(SystemExit):
+            parse_args(["-input", "/x", *removed])
 
 
 def test_cli_single_id(tmp_path):

@@ -791,7 +791,7 @@ def test_partitioned_asof_join_matches_duckdb(ray_session):
     got = relational.partitioned_asof_join(
         purchases, clicks, on="ts", by="user_id", num_partitions=8
     ).to_pandas()
-    got["click_id"] = got["click_id"].fillna(-1).astype("int64")
+    got["click_id"] = got["click_id"].astype("Int64").fillna(-1).astype("int64")
     got = got.sort_values("event_id").reset_index(drop=True)
     expected = duckdb.connect().execute(
         f"""
