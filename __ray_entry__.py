@@ -48,18 +48,17 @@ def entry() -> Any:
 
     from esmarc_ray.corpus import CorpusSpec, link_tables
     from esmarc_ray.io import read_documents
+    from esmarc_ray.pipelines.kg import extract_and_link
     from esmarc_ray.stages.canonicalize import canonicalize
-    from esmarc_ray.stages.extract import docs_to_triples, extract_docs
-    from esmarc_ray.stages.link import build_link_indexes, link_entities
+    from esmarc_ray.stages.extract import docs_to_triples
+    from esmarc_ray.stages.link import build_link_indexes
 
     n_docs = _corpus_size_for("/root/testdata/sf0.001")
     corpus = _span_corpus(n_docs)
     spec = CorpusSpec(n_docs=n_docs, seed=42)
     indexes = ray.put(build_link_indexes(link_tables(spec)))
-    docs = extract_docs(read_documents(corpus))
-    linked = link_entities(docs, indexes)
-    canonical = canonicalize(linked, precombine=True)
-    return docs_to_triples(canonical)
+    linked = extract_and_link(read_documents(corpus), indexes_ref=indexes)
+    return docs_to_triples(canonicalize(linked, precombine=True))
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +121,17 @@ def q_kg_incremental(sf_dir: str):
     sink → read-back equals a single-shot build."""
     import shutil
 
-    import pandas as pd
     import ray.data
 
     from esmarc_ray.io import upsert_partitioned
-    from esmarc_ray.ops.relational import partial_groupby_agg
+    from esmarc_ray.ops.relational import hash_partition, partial_groupby_agg
     from esmarc_ray.stages.extract import docs_to_triples
 
     docs = _kg_docs(sf_dir).materialize()
     triples_all = docs_to_triples(docs)
     _kg_oracle_table(sf_dir, "incr_raw", triples_all)
 
-    store = f"/tmp/esmarc_ray_kg_incr_{abs(hash(sf_dir)) % 10**8}"
+    store = str(_KG_ORACLE_DIR / "kg_incr_store")
     shutil.rmtree(store, ignore_errors=True)
     key = ["subj", "pred", "obj", "obj_kind", "entity_class", "doc_id"]
 
@@ -144,8 +142,7 @@ def q_kg_incremental(sf_dir: str):
         def half(batch, keep: bool = keep_even):
             import pyarrow as pa
 
-            ids = batch.column("doc_id").to_pandas().astype(str)
-            h = pd.util.hash_pandas_object(ids, index=False).to_numpy() % 2
+            h = hash_partition(batch, "doc_id", 2)
             return batch.filter(pa.array((h == 0) == keep))
 
         increment = docs_to_triples(
@@ -159,9 +156,10 @@ def q_kg_incremental(sf_dir: str):
     return out.sort_values("pred").reset_index(drop=True)
 
 
-# KG oracle mirror, one per process so concurrent contract runs cannot
-# clobber each other's tables; oracle SQL names it ``$KG_ORACLE`` and
-# oracle_sql() substitutes this path
+# KG oracle mirror and the queries' side stores, one per process so
+# concurrent contract runs cannot clobber each other's tables (and removed at
+# exit); oracle SQL names it ``$KG_ORACLE`` and oracle_sql() substitutes this
+# path
 _KG_ORACLE_DIR = pathlib.Path(f"/tmp/esmarc_ray_kg_oracle-{os.getpid()}")
 atexit.register(shutil.rmtree, _KG_ORACLE_DIR, ignore_errors=True)
 
@@ -6694,7 +6692,7 @@ def q_store_incr_agg(sf_dir: str):
     from esmarc_ray.io import merge_agg_store
     from esmarc_ray.ops.relational import _round_half_up, partial_groupby_agg
 
-    store = f"/tmp/esmarc_ray_agg_store_{abs(hash(sf_dir)) % 10**8}"
+    store = str(_KG_ORACLE_DIR / "agg_store")
     shutil.rmtree(store, ignore_errors=True)
 
     orders = ray.data.read_parquet(
@@ -7730,7 +7728,7 @@ def q_shard_sizes(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return export_training_shards(
-        docs, "/tmp/esmarc_ray_shards", n_shards=8, seed=42
+        docs, str(_KG_ORACLE_DIR / "shards"), n_shards=8, seed=42
     )
 
 
@@ -8633,7 +8631,7 @@ def q_store_upsert(sf_dir: str):
 
     from esmarc_ray.io import read_partitioned_store, upsert_partitioned
 
-    store = "/tmp/esmarc_ray_upsert_store"
+    store = str(_KG_ORACLE_DIR / "upsert_store")
     shutil.rmtree(store, ignore_errors=True)
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]

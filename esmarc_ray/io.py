@@ -177,25 +177,14 @@ def upsert_partitioned(
 
     import pandas as pd
 
+    from esmarc_ray.ops.relational import hash_partition, partitioned_final
+
     base = pathlib.Path(store_dir)
     base.mkdir(parents=True, exist_ok=True)
     order = list(sort_within or key_cols)
 
-    def add_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
-        key = (
-            batch[key_cols[0]].astype(str)
-            if len(key_cols) == 1
-            else batch[key_cols].astype(str).agg("\x1f".join, axis=1)
-        )
-        batch = batch.copy()
-        batch["__bucket"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_buckets
-        ).astype("int32")
-        return batch
-
-    def merge_bucket(group: "pd.DataFrame") -> "pd.DataFrame":
-        bucket = int(group["__bucket"].iloc[0])
-        incoming = group.drop(columns="__bucket")
+    def merge_bucket(incoming: "pd.DataFrame") -> "pd.DataFrame":
+        bucket = int(hash_partition(incoming.iloc[:1], key_cols, num_buckets)[0])
         bucket_dir = base / f"bucket={bucket}"
         path = bucket_dir / "part-0.parquet"
         if path.exists():
@@ -210,12 +199,7 @@ def upsert_partitioned(
         merged.to_parquet(path, index=False)
         return pd.DataFrame({"bucket": [bucket], "n_rows": [len(merged)]})
 
-    manifest = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    manifest = partitioned_final(ds, key_cols, merge_bucket, num_buckets).to_pandas()
     if manifest.empty:  # empty increment touches nothing
         return pd.DataFrame({"bucket": pd.Series(dtype="int64"),
                              "n_rows": pd.Series(dtype="int64")})
@@ -249,24 +233,13 @@ def merge_agg_store(
 
     import pandas as pd
 
+    from esmarc_ray.ops.relational import hash_partition, partitioned_final
+
     base = pathlib.Path(store_dir)
     base.mkdir(parents=True, exist_ok=True)
 
-    def add_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
-        key = (
-            batch[key_cols[0]].astype(str)
-            if len(key_cols) == 1
-            else batch[key_cols].astype(str).agg("\x1f".join, axis=1)
-        )
-        batch = batch.copy()
-        batch["__bucket"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_buckets
-        ).astype("int32")
-        return batch
-
-    def merge_bucket(group: "pd.DataFrame") -> "pd.DataFrame":
-        bucket = int(group["__bucket"].iloc[0])
-        incoming = group.drop(columns="__bucket")
+    def merge_bucket(incoming: "pd.DataFrame") -> "pd.DataFrame":
+        bucket = int(hash_partition(incoming.iloc[:1], key_cols, num_buckets)[0])
         bucket_dir = base / f"bucket={bucket}"
         path = bucket_dir / "part-0.parquet"
         if path.exists():
@@ -279,12 +252,9 @@ def merge_agg_store(
         merged.to_parquet(path, index=False)
         return pd.DataFrame({"bucket": [bucket], "n_rows": [len(merged)]})
 
-    manifest = (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    manifest = partitioned_final(
+        partials, key_cols, merge_bucket, num_buckets
+    ).to_pandas()
     if manifest.empty:  # empty increment touches nothing
         return pd.DataFrame({"bucket": pd.Series(dtype="int64"),
                              "n_rows": pd.Series(dtype="int64")})

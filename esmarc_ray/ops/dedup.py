@@ -25,6 +25,7 @@ import pyarrow as pa
 import ray.data
 
 from esmarc_ray.config import derive_width
+from esmarc_ray.ops.relational import partitioned_final
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -46,25 +47,10 @@ def exact_dedup(
     key — a per-key ``map_groups`` pays one UDF task per distinct value,
     which is nearly one per row on mostly-unique corpora)."""
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["part"] = (
-            pd.util.hash_pandas_object(batch[key_column].astype(str), index=False)
-            .to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
-
     def keep_first(part: pd.DataFrame) -> pd.DataFrame:
-        return (
-            part.sort_values([key_column, id_column])
-            .drop_duplicates(key_column)
-            .drop(columns=["part"])
-        )
+        return part.sort_values([key_column, id_column]).drop_duplicates(key_column)
 
-    return (
-        docs.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    return partitioned_final(docs, [key_column], keep_first, num_partitions)
 
 
 def dedup_against_store(
@@ -288,15 +274,6 @@ def minhash_candidates(
     if num_partitions is None:
         num_partitions = derive_partitions(dataset_size_hint(docs))
 
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        band = batch.column("band").to_numpy(zero_copy_only=False)
-        bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        part = ((band * 2654435761 + bh) % num_partitions).astype(np.int32)
-        return batch.append_column("part", pa.array(part))
-
     def partition_pairs(part: pa.Table) -> pa.Table:
         """Vectorized bucket → pair expansion: dedupe + sort puts each
         (band, band_hash) bucket into a contiguous ascending-doc_id run;
@@ -345,38 +322,19 @@ def minhash_candidates(
         ib = pa.array(np.concatenate(ib_parts), pa.int64())
         return pa.table({"doc_a": ids.take(ia), "doc_b": ids.take(ib)})
 
-    pairs = (
-        bands_ds.map_batches(
-            add_part, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(partition_pairs, batch_format="pyarrow")
+    pairs = partitioned_final(
+        bands_ds, ["band", "band_hash"], partition_pairs, num_partitions,
+        batch_format="pyarrow",
     )
-
-    def add_pair_part(batch: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            pc.cast(batch.column("doc_a"), pa.string()),
-            pc.cast(batch.column("doc_b"), pa.string()),
-            "\x1f",
-        )
-        h = pd.util.hash_pandas_object(
-            pd.Series(key.to_pandas()), index=False
-        ).to_numpy()
-        return batch.append_column(
-            "part", pa.array((h % num_partitions).astype(np.int32))
-        )
 
     def distinct_pairs(part: pa.Table) -> pa.Table:
         return part.group_by(["doc_a", "doc_b"]).aggregate([]).select(
             ["doc_a", "doc_b"]
         )
 
-    return (
-        pairs.map_batches(
-            add_pair_part, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(distinct_pairs, batch_format="pyarrow")
+    return partitioned_final(
+        pairs, ["doc_a", "doc_b"], distinct_pairs, num_partitions,
+        batch_format="pyarrow",
     )
 
 
@@ -416,21 +374,14 @@ def _distinct_on(ds: ray.data.Dataset, columns: list[str], num_partitions: int |
     """Distributed DISTINCT over ``columns`` (hash-partitioned, one reducer
     per partition) — ``Dataset.unique`` collects to the driver, this doesn't."""
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[columns].drop_duplicates()
-        key = batch[columns].astype(str).agg("\x1f".join, axis=1)
-        batch["part"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
+    def local_distinct(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch[columns].drop_duplicates()
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda p: p.drop_duplicates(columns).drop(columns=["part"]),
-            batch_format="pandas",
-        )
+    return partitioned_final(
+        ds.map_batches(local_distinct, batch_format="pandas"),
+        columns,
+        lambda p: p.drop_duplicates(columns),
+        num_partitions,
     )
 
 
@@ -771,13 +722,6 @@ def hamming_near_dups(
             }))
         return pd.concat(frames, ignore_index=True)
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["part"] = (
-            (batch["chunk"].astype("int64") * 2654435761 + batch["chunk_val"])
-            % num_partitions
-        ).astype("int32")
-        return batch
-
     def partition_pairs(part: pd.DataFrame) -> pd.DataFrame:
         out = {"doc_a": [], "doc_b": [], "hamming": []}
         for _, group in part.groupby(["chunk", "chunk_val"], sort=False):
@@ -793,11 +737,11 @@ def hamming_near_dups(
                         out["hamming"].append(d)
         return pd.DataFrame(out)
 
-    pairs = (
-        sigs.map_batches(chunk_rows, batch_format="pandas")
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(partition_pairs, batch_format="pandas")
+    pairs = partitioned_final(
+        sigs.map_batches(chunk_rows, batch_format="pandas"),
+        ["chunk", "chunk_val"],
+        partition_pairs,
+        num_partitions,
     )
     # a pair found via several chunk buckets repeats with the SAME hamming
     # (it is a function of the two signatures), so a distributed DISTINCT
@@ -914,25 +858,18 @@ def embedding_near_dups(
     if num_partitions is None:
         num_partitions = derive_partitions(dataset_size_hint(embeddings))
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["part"] = (
-            (batch["table"].astype("int64") * 2654435761 + batch["bucket"]) % num_partitions
-        ).astype("int32")
-        return batch
-
     def canonical_order(batch: pd.DataFrame) -> pd.DataFrame:
         lo = batch[["vec_a", "vec_b"]].min(axis=1)
         hi = batch[["vec_a", "vec_b"]].max(axis=1)
         batch["vec_a"], batch["vec_b"] = lo, hi
         return batch
 
-    pairs_ds = (
-        embeddings.map_batches(bucket, batch_format="pandas")
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .map_batches(canonical_order, batch_format="pandas")
-    )
+    pairs_ds = partitioned_final(
+        embeddings.map_batches(bucket, batch_format="pandas"),
+        ["table", "bucket"],
+        bucket_pairs,
+        num_partitions,
+    ).map_batches(canonical_order, batch_format="pandas")
     # cross-table repeats carry the bit-identical cosine (same dot product),
     # so distributed DISTINCT over all three columns dedups exactly
     return _distinct_on(pairs_ds, ["vec_a", "vec_b", "cosine"])
@@ -1060,7 +997,7 @@ def _pair_intersections(
     """
     import re
 
-    from esmarc_ray.ops.relational import _add_hash_part, partial_groupby_agg
+    from esmarc_ray.ops.relational import partial_groupby_agg
 
     pat = re.compile(r"[a-z0-9]+")
 
@@ -1076,12 +1013,8 @@ def _pair_intersections(
         return pd.DataFrame({"token": toks, id_column: ids, "n_tok": sizes})
 
     tokens = docs.map_batches(tokenize, batch_format="pandas")
-    parted = tokens.map_batches(
-        _add_hash_part(["token"], num_partitions), batch_format="pandas"
-    )
 
     def emit_pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part")
         if max_doc_freq is not None:
             df_counts = part.groupby("token")["token"].transform("size")
             part = part[df_counts <= max_doc_freq]
@@ -1107,7 +1040,7 @@ def _pair_intersections(
             .rename(columns={"size": "inter_part"})
         )
 
-    pairs = parted.groupby("__part").map_groups(emit_pairs, batch_format="pandas")
+    pairs = partitioned_final(tokens, ["token"], emit_pairs, num_partitions)
     return partial_groupby_agg(
         pairs,
         ["doc_a", "doc_b"],
@@ -1293,7 +1226,6 @@ def duplicate_window_spans(
     kernel; the loop count is bounded by stride, not corpus size.  Fully
     SQL-expressible (``generate_series`` + ``substr``), so the whole operator
     hash-checks against DuckDB."""
-    from esmarc_ray.ops.relational import partitioned_final
     from esmarc_ray.ops.text import _det_topk
 
     def spans(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1352,15 +1284,9 @@ def ppjoin_pairs(
     verifies exactly.  The ceil in the prefix length is computed as
     ``ceil(t·n − 1e-9)`` so float noise can only LENGTHEN the prefix (never
     lose a pair)."""
-    import math
     import re
 
-    from esmarc_ray.ops.relational import (
-        _add_hash_part,
-        partial_groupby_agg,
-        partitioned_final,
-        partitioned_join,
-    )
+    from esmarc_ray.ops.relational import partial_groupby_agg, partitioned_join
 
     pat = re.compile(r"[a-z0-9]+")
 
@@ -1400,7 +1326,6 @@ def ppjoin_pairs(
     )
 
     def emit_cands(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part")
         m = part.merge(part, on="token", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
         return m[["doc_id_a", "doc_id_b"]].drop_duplicates().rename(
@@ -1408,11 +1333,7 @@ def ppjoin_pairs(
         )
 
     candidates = _distinct_on(
-        prefixes.map_batches(
-            _add_hash_part(["token"], num_partitions), batch_format="pandas"
-        )
-        .groupby("__part")
-        .map_groups(emit_cands, batch_format="pandas"),
+        partitioned_final(prefixes, ["token"], emit_cands, num_partitions),
         ["doc_a", "doc_b"],
         num_partitions,
     )

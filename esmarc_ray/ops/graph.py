@@ -29,6 +29,12 @@ import pandas as pd
 import ray.data
 
 from esmarc_ray.config import derive_width
+from esmarc_ray.ops.relational import (
+    PART,
+    hash_partition,
+    partitioned_final,
+    reduce_partitions,
+)
 
 
 _EMPTY = {"node": pd.Series(dtype="object"), "label": pd.Series(dtype="object")}
@@ -36,14 +42,6 @@ _EMPTY = {"node": pd.Series(dtype="object"), "label": pd.Series(dtype="object")}
 # pagerank-internal sentinel row: \x1f cannot appear in str()-derived node
 # ids, so a real node can never collide with it
 _DANGLING = "\x1fdangling\x1f"
-
-
-def _part_series(keys: pd.Series, num_partitions: int) -> pd.Series:
-    # vectorized (pandas C siphash) — a per-row crc32 .map here would run a
-    # Python loop inside the hot tag stage
-    return (
-        pd.util.hash_pandas_object(keys.astype(str), index=False) % num_partitions
-    ).astype("int32")
 
 
 def _label_checksum(labels: ray.data.Dataset) -> int:
@@ -68,18 +66,12 @@ def _label_checksum(labels: ray.data.Dataset) -> int:
 def _min_by_node(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
     """(node, label) → one row per node with the min label (hash-partitioned)."""
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.groupby("node", as_index=False, sort=False)["label"].min()
-        batch["part"] = _part_series(batch["node"], num_partitions)
-        return batch
+    def node_min(frame: pd.DataFrame) -> pd.DataFrame:
+        return frame.groupby("node", as_index=False, sort=False)["label"].min()
 
-    def partition_min(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("node", as_index=False, sort=False)["label"].min()
-
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(partition_min, batch_format="pandas")
+    return partitioned_final(
+        ds.map_batches(node_min, batch_format="pandas"), ["node"], node_min,
+        num_partitions,
     )
 
 
@@ -124,7 +116,7 @@ def connected_components(
                 "key": batch["src"],
                 "other": batch["dst"],
                 "side": "e",
-                "part": _part_series(batch["src"], num_partitions),
+                PART: hash_partition(batch, "src", num_partitions),
             }
         )
 
@@ -158,7 +150,7 @@ def connected_components(
                 "key": batch["node"],
                 "other": batch["label"],
                 "side": "l",
-                "part": _part_series(batch["node"], num_partitions),
+                PART: hash_partition(batch, "node", num_partitions),
             }
         )
         q = pd.DataFrame(
@@ -166,7 +158,7 @@ def connected_components(
                 "key": batch["label"],
                 "other": batch["node"],
                 "side": "q",
-                "part": _part_series(batch["label"], num_partitions),
+                PART: hash_partition(batch, "label", num_partitions),
             }
         )
         return pd.concat([lab, q], ignore_index=True)
@@ -196,7 +188,7 @@ def connected_components(
         tagged = tagged_edges.union(
             labels.map_batches(tag_labels_and_queries, batch_format="pandas")
         )
-        msgs = tagged.groupby("part").map_groups(resolve, batch_format="pandas")
+        msgs = reduce_partitions(tagged, resolve)
         new_labels = (
             _min_by_node(msgs, num_partitions)
             .repartition(num_partitions)
@@ -265,7 +257,7 @@ def pagerank(
                 "other": batch["dst"],
                 "side": "e",
                 "val": 0.0,
-                "part": _part_series(batch["src"], num_partitions),
+                PART: hash_partition(batch, "src", num_partitions),
             }
         )
 
@@ -280,35 +272,22 @@ def pagerank(
     def node_partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.drop_duplicates("node")
 
-    nodes = (
-        dir_edges.map_batches(both_sides, batch_format="pandas")
-        .map_batches(node_partial, batch_format="pandas")
-        .map_batches(
-            lambda b: b.assign(part=_part_series(b["node"], num_partitions)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(
-            lambda p: p.drop_duplicates("node").drop(columns="part"),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    nodes = partitioned_final(
+        dir_edges.map_batches(both_sides, batch_format="pandas").map_batches(
+            node_partial, batch_format="pandas"
+        ),
+        ["node"],
+        node_partial,
+        num_partitions,
+    ).materialize()
     n_nodes = nodes.count()
 
-    degrees = (
-        dir_edges.map_batches(deg_partial, batch_format="pandas")
-        .map_batches(
-            lambda b: b.assign(part=_part_series(b["src"], num_partitions)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(
-            lambda p: p.groupby("src", as_index=False, sort=False)["deg"].sum(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    degrees = partitioned_final(
+        dir_edges.map_batches(deg_partial, batch_format="pandas"),
+        ["src"],
+        lambda p: p.groupby("src", as_index=False, sort=False)["deg"].sum(),
+        num_partitions,
+    ).materialize()
 
     seed_set = frozenset(str(s) for s in seeds) if seeds is not None else None
     if seed_set is not None and not seed_set:
@@ -339,7 +318,7 @@ def pagerank(
                 "other": "",
                 "side": "d",
                 "val": batch["deg"].astype("float64"),
-                "part": _part_series(batch["src"], num_partitions),
+                PART: hash_partition(batch, "src", num_partitions),
             }
         )
 
@@ -354,7 +333,7 @@ def pagerank(
                     "other": "",
                     "side": "r",
                     "val": batch["rank"],
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                 }
             )
 
@@ -393,8 +372,7 @@ def pagerank(
         # cost then quadratically over the loop) — same pitfall as the
         # isPartOf closure; a small coalesce per round keeps it flat
         sums = (
-            tagged.groupby("part")
-            .map_groups(contribute, batch_format="pandas")
+            reduce_partitions(tagged, contribute)
             .repartition(num_partitions)
             .materialize()
         )
@@ -422,7 +400,7 @@ def pagerank(
                     "key": kept["node"],
                     "side": "c",
                     "val": kept["contrib"],
-                    "part": _part_series(kept["node"], num_partitions),
+                    PART: hash_partition(kept, "node", num_partitions),
                 }
             )
 
@@ -432,7 +410,7 @@ def pagerank(
                     "key": batch["node"],
                     "side": "n",
                     "val": 0.0,
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                 }
             )
 
@@ -450,10 +428,12 @@ def pagerank(
             return pd.DataFrame({"node": m["key"], "rank": rank})
 
         ranks = (
-            sums.map_batches(tag_contrib, batch_format="pandas")
-            .union(nodes.map_batches(tag_nodes, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(apply_update, batch_format="pandas")
+            reduce_partitions(
+                sums.map_batches(tag_contrib, batch_format="pandas").union(
+                    nodes.map_batches(tag_nodes, batch_format="pandas")
+                ),
+                apply_update,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -512,7 +492,7 @@ def triangle_count(
     def deg_final(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby("node", as_index=False, sort=False)["deg"].sum()
 
-    from esmarc_ray.ops.relational import partitioned_final, partitioned_join
+    from esmarc_ray.ops.relational import partitioned_join
 
     degrees = partitioned_final(
         und.map_batches(deg_rows, batch_format="pandas").map_batches(
@@ -558,11 +538,6 @@ def triangle_count(
 
     # wedges per oriented source: for each lo, all (deg,id)-ordered pairs of
     # its out-neighbors form candidate closing edges
-    def tag_src(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch["lo"], num_partitions)
-        return batch
-
     def wedges(part: pd.DataFrame) -> pd.DataFrame:
         # ONE ROW PER WEDGE (never dedup: two wedges from different sources
         # closing the same edge are two distinct triangles).  Keeping only
@@ -579,34 +554,31 @@ def triangle_count(
             )
         return pd.DataFrame({"lo": m["hi_1"], "hi": m["hi_2"]})
 
-    candidates = (
-        oriented.map_batches(tag_src, batch_format="pandas")
-        .groupby("part")
-        .map_groups(wedges, batch_format="pandas")
-    )
+    candidates = partitioned_final(oriented, ["lo"], wedges, num_partitions)
 
-    def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
-        return pd.DataFrame(
-            {"key": key, "side": "c", "part": _part_series(key, num_partitions)}
-        )
+    def tag_side(side: str):
+        def tag(batch: pd.DataFrame) -> pd.DataFrame:
+            key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
+            return pd.DataFrame(
+                {
+                    "key": key,
+                    "side": side,
+                    PART: hash_partition(batch, ["lo", "hi"], num_partitions),
+                }
+            )
 
-    def tag_edge(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
-        return pd.DataFrame(
-            {"key": key, "side": "e", "part": _part_series(key, num_partitions)}
-        )
+        return tag
 
     def count_matches(part: pd.DataFrame) -> pd.DataFrame:
         edge_keys = set(part.loc[part["side"] == "e", "key"])
         n = int(part.loc[part["side"] == "c", "key"].isin(edge_keys).sum())
         return pd.DataFrame({"n": [n]})
 
-    matched = (
-        candidates.map_batches(tag_cand, batch_format="pandas")
-        .union(oriented.map_batches(tag_edge, batch_format="pandas"))
-        .groupby("part")
-        .map_groups(count_matches, batch_format="pandas")
+    matched = reduce_partitions(
+        candidates.map_batches(tag_side("c"), batch_format="pandas").union(
+            oriented.map_batches(tag_side("e"), batch_format="pandas")
+        ),
+        count_matches,
     )
     return int(sum(row["n"] for row in matched.take_all()))
 
@@ -631,7 +603,7 @@ def predicate_cooccurrence(
     """
     from itertools import combinations
 
-    from esmarc_ray.ops.relational import partial_groupby_agg, partitioned_final
+    from esmarc_ray.ops.relational import partial_groupby_agg
     from esmarc_ray.ops.text import _det_topk
 
     def local_distinct(batch: pd.DataFrame) -> pd.DataFrame:
@@ -698,7 +670,7 @@ def bfs_hops(
         fwd = batch[[u, v]].rename(columns={u: "s", v: "d"})
         rev = batch[[v, u]].rename(columns={v: "s", u: "d"})
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         out["kind"] = "e"
         out["hop"] = -1
         return out
@@ -717,7 +689,7 @@ def bfs_hops(
         def tag_frontier(batch: pd.DataFrame) -> pd.DataFrame:
             out = pd.DataFrame({"s": batch["node"]})
             out["d"] = batch["node"]  # dtype placeholder, ignored for kind=f
-            out["part"] = _part_series(out["s"], num_partitions)
+            out[PART] = hash_partition(out, "s", num_partitions)
             out["kind"] = "f"
             out["hop"] = -1
             return out
@@ -730,25 +702,24 @@ def bfs_hops(
             hit = ed.merge(fr, on="s")[["d"]].drop_duplicates()
             return hit.rename(columns={"d": "node"})
 
-        candidates = (
+        candidates = reduce_partitions(
             edges_tagged.union(
                 frontier.map_batches(tag_frontier, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(expand, batch_format="pandas")
+            ),
+            expand,
         )
 
         def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["node"]].drop_duplicates().copy()
             out["hop"] = -1
             out["kind"] = "c"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def tag_settled(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["node", "hop"]].copy()
             out["kind"] = "s"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def resolve(part: pd.DataFrame, new_hop: int = h + 1) -> pd.DataFrame:
@@ -759,10 +730,12 @@ def bfs_hops(
             return pd.concat([old, new], ignore_index=True)
 
         settled = (
-            candidates.map_batches(tag_cand, batch_format="pandas")
-            .union(settled.map_batches(tag_settled, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+            reduce_partitions(
+                candidates.map_batches(tag_cand, batch_format="pandas").union(
+                    settled.map_batches(tag_settled, batch_format="pandas")
+                ),
+                resolve,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -786,7 +759,6 @@ def degree_histogram(
     per-degree counts (nodes are partition-disjoint, so the local degree
     histogram is exact), then a tiny per-degree merge — shuffle volume is
     O(nodes) then O(distinct degrees), never O(edges)."""
-    from esmarc_ray.ops.relational import partitioned_final
 
     def endpoint_counts(batch: pd.DataFrame) -> pd.DataFrame:
         s = pd.concat([batch[u], batch[v]], ignore_index=True)
@@ -844,7 +816,7 @@ def label_propagation(
         out = out.astype({"s": str, "d": str})
         out["label"] = ""
         out["kind"] = "e"
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         return out
 
     edges_tagged = edges.map_batches(undirect, batch_format="pandas").materialize()
@@ -866,7 +838,7 @@ def label_propagation(
                 {"s": batch["node"], "d": batch["node"], "label": batch["label"]}
             )
             out["kind"] = "l"
-            out["part"] = _part_series(out["s"], num_partitions)
+            out[PART] = hash_partition(out, "s", num_partitions)
             return out
 
         def votes(part: pd.DataFrame) -> pd.DataFrame:
@@ -888,24 +860,14 @@ def label_propagation(
             top = cnt.drop_duplicates("node", keep="first")
             return top[["node", "label"]]
 
-        voted = (
-            edges_tagged.union(labels.map_batches(tag_labels, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(votes, batch_format="pandas")
+        voted = reduce_partitions(
+            edges_tagged.union(
+                labels.map_batches(tag_labels, batch_format="pandas")
+            ),
+            votes,
         )
-
-        def tag_votes(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["part"] = _part_series(batch["node"], num_partitions)
-            return batch
-
         labels = (
-            voted.map_batches(tag_votes, batch_format="pandas")
-            .groupby("part")
-            .map_groups(
-                lambda part: mode_per_node(part.drop(columns="part")),
-                batch_format="pandas",
-            )
+            partitioned_final(voted, ["node"], mode_per_node, num_partitions)
             .repartition(num_partitions)
             .materialize()
         )
@@ -955,7 +917,7 @@ def sssp(
         rev = batch[[v, u, weight]].rename(columns={v: "s", u: "d", weight: "w"})
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
         out["kind"] = "e"
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         return out
 
     edges_tagged = edges.map_batches(undirect, batch_format="pandas").materialize()
@@ -976,7 +938,7 @@ def sssp(
                 {"s": batch["node"], "d": batch["node"], "w": batch["dist"]}
             )
             out["kind"] = "f"
-            out["part"] = _part_series(out["s"], num_partitions)
+            out[PART] = hash_partition(out, "s", num_partitions)
             return out
 
         def relax(part: pd.DataFrame) -> pd.DataFrame:
@@ -992,24 +954,23 @@ def sssp(
             out = hit.groupby("d", as_index=False)["cand"].min()
             return out.rename(columns={"d": "node"})
 
-        candidates = (
+        candidates = reduce_partitions(
             edges_tagged.union(
                 frontier.map_batches(tag_frontier, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(relax, batch_format="pandas")
+            ),
+            relax,
         )
 
         def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch.rename(columns={"cand": "dist"})
             out["kind"] = "c"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def tag_settled(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["node", "dist"]].copy()
             out["kind"] = "s"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def resolve(part: pd.DataFrame) -> pd.DataFrame:
@@ -1029,10 +990,12 @@ def sssp(
             )
 
         settled = (
-            candidates.map_batches(tag_cand, batch_format="pandas")
-            .union(settled.map_batches(tag_settled, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+            reduce_partitions(
+                candidates.map_batches(tag_cand, batch_format="pandas").union(
+                    settled.map_batches(tag_settled, batch_format="pandas")
+                ),
+                resolve,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -1138,7 +1101,7 @@ def degree_assortativity(
     two-orientation Pearson needs only those three sums."""
     import numpy as np
 
-    from esmarc_ray.ops.relational import partitioned_final, partitioned_join
+    from esmarc_ray.ops.relational import partitioned_join
 
     def endpoint_counts(batch: pd.DataFrame) -> pd.DataFrame:
         s = pd.concat([batch[u], batch[v]], ignore_index=True)
@@ -1250,7 +1213,7 @@ def landmark_bfs(
         rev = batch[[v, u]].rename(columns={v: "s", u: "d"})
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
         out["lm"] = out["s"]  # dtype placeholder, ignored for kind=e
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         out["kind"] = "e"
         out["hop"] = -1
         return out
@@ -1339,7 +1302,7 @@ def _landmark_bfs_rounds(
         def tag_frontier(batch: pd.DataFrame) -> pd.DataFrame:
             out = pd.DataFrame({"s": batch["node"], "d": batch["node"],
                                 "lm": batch["lm"]})
-            out["part"] = _part_series(out["s"], num_partitions)
+            out[PART] = hash_partition(out, "s", num_partitions)
             out["kind"] = "f"
             out["hop"] = -1
             return out
@@ -1357,25 +1320,24 @@ def _landmark_bfs_rounds(
             hit = ed[["s", "d"]].merge(fr, on="s")[["d", "lm"]].drop_duplicates()
             return hit.rename(columns={"d": "node"})
 
-        candidates = (
+        candidates = reduce_partitions(
             edges_tagged.union(
                 frontier.map_batches(tag_frontier, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(expand, batch_format="pandas")
+            ),
+            expand,
         )
 
         def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["node", "lm"]].drop_duplicates().copy()
             out["hop"] = -1
             out["kind"] = "c"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def tag_settled(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["node", "lm", "hop"]].copy()
             out["kind"] = "s"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def resolve(part: pd.DataFrame, new_hop: int = h + 1) -> pd.DataFrame:
@@ -1390,10 +1352,12 @@ def _landmark_bfs_rounds(
             return pd.concat([old, new], ignore_index=True)
 
         settled = (
-            candidates.map_batches(tag_cand, batch_format="pandas")
-            .union(settled.map_batches(tag_settled, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+            reduce_partitions(
+                candidates.map_batches(tag_cand, batch_format="pandas").union(
+                    settled.map_batches(tag_settled, batch_format="pandas")
+                ),
+                resolve,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -1440,7 +1404,7 @@ def wl_refine(
             {"node": g["s"], "lab": g["size"].astype("int64").astype(str)}
         )
 
-    from esmarc_ray.ops.relational import partitioned_final, partitioned_join
+    from esmarc_ray.ops.relational import partitioned_join
 
     labels = partitioned_final(
         und, ["s"], degree_part, num_partitions=num_partitions
@@ -1534,11 +1498,7 @@ def per_node_triangles(
         return out[out["a"] != out["b"]].drop_duplicates()
 
     from esmarc_ray.ops.dedup import _distinct_on
-    from esmarc_ray.ops.relational import (
-        partial_groupby_agg,
-        partitioned_final,
-        partitioned_join,
-    )
+    from esmarc_ray.ops.relational import partial_groupby_agg, partitioned_join
 
     und = _distinct_on(
         edges.map_batches(undirect, batch_format="pandas"), ["a", "b"],
@@ -1598,11 +1558,6 @@ def per_node_triangles(
 
     oriented = with_both.map_batches(orient, batch_format="pandas").materialize()
 
-    def tag_src(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch["lo"], num_partitions)
-        return batch
-
     def wedges(part: pd.DataFrame) -> pd.DataFrame:
         # one row per wedge, apex kept — a matched wedge IS a triangle
         # (apex, lo, hi) and must credit all three corners
@@ -1621,33 +1576,21 @@ def per_node_triangles(
             )
         return pd.DataFrame({"apex": m["lo"], "lo": m["hi_1"], "hi": m["hi_2"]})
 
-    candidates = (
-        oriented.map_batches(tag_src, batch_format="pandas")
-        .groupby("part")
-        .map_groups(wedges, batch_format="pandas")
-    )
+    candidates = partitioned_final(oriented, ["lo"], wedges, num_partitions)
 
-    def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
-        return pd.DataFrame(
-            {
-                "key": key,
-                "apex": batch["apex"],
-                "side": "c",
-                "part": _part_series(key, num_partitions),
-            }
-        )
+    def tag_side(side: str):
+        def tag(batch: pd.DataFrame) -> pd.DataFrame:
+            key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
+            return pd.DataFrame(
+                {
+                    "key": key,
+                    "apex": batch["apex"] if side == "c" else "",
+                    "side": side,
+                    PART: hash_partition(batch, ["lo", "hi"], num_partitions),
+                }
+            )
 
-    def tag_edge(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch["lo"].astype(str) + "\x1f" + batch["hi"].astype(str)
-        return pd.DataFrame(
-            {
-                "key": key,
-                "apex": "",
-                "side": "e",
-                "part": _part_series(key, num_partitions),
-            }
-        )
+        return tag
 
     def matched_corners(part: pd.DataFrame) -> pd.DataFrame:
         edge_keys = set(part.loc[part["side"] == "e", "key"])
@@ -1665,11 +1608,11 @@ def per_node_triangles(
         )
         return pd.DataFrame({"node": corners})
 
-    corners = (
-        candidates.map_batches(tag_cand, batch_format="pandas")
-        .union(oriented.map_batches(tag_edge, batch_format="pandas"))
-        .groupby("part")
-        .map_groups(matched_corners, batch_format="pandas")
+    corners = reduce_partitions(
+        candidates.map_batches(tag_side("c"), batch_format="pandas").union(
+            oriented.map_batches(tag_side("e"), batch_format="pandas")
+        ),
+        matched_corners,
     )
 
     tri_counts = partial_groupby_agg(
@@ -1852,11 +1795,6 @@ def link_prediction_scores(
     )
 
     # 3. wedges per center partition
-    def tag_center(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch["w"].astype(str), num_partitions)
-        return batch
-
     def wedges(part: pd.DataFrame) -> pd.DataFrame:
         if max_center_degree is not None:
             part = part[part["deg_w"] <= max_center_degree]
@@ -1880,11 +1818,7 @@ def link_prediction_scores(
             }
         )
 
-    wedge_rows = (
-        adj_deg.map_batches(tag_center, batch_format="pandas")
-        .groupby("part")
-        .map_groups(wedges, batch_format="pandas")
-    )
+    wedge_rows = partitioned_final(adj_deg, ["w"], wedges, num_partitions)
 
     # 4. sum per candidate pair
     pair_scores = partial_groupby_agg(
@@ -1927,7 +1861,7 @@ def link_prediction_scores(
             key = batch["x"].astype(str) + "\x1f" + batch["y"].astype(str)
             batch["pair_key"] = key
             batch["side"] = side
-            batch["part"] = _part_series(key, num_partitions)
+            batch[PART] = hash_partition(batch, ["x", "y"], num_partitions)
             return batch
 
         return fn
@@ -1938,11 +1872,11 @@ def link_prediction_scores(
         cand = cand[~cand["pair_key"].isin(known)]
         return cand.drop(columns=["pair_key", "side"])
 
-    candidates = (
-        with_both.map_batches(tag_pair("c"), batch_format="pandas")
-        .union(edges.map_batches(tag_pair("e"), batch_format="pandas"))
-        .groupby("part")
-        .map_groups(drop_known, batch_format="pandas")
+    candidates = reduce_partitions(
+        with_both.map_batches(tag_pair("c"), batch_format="pandas").union(
+            edges.map_batches(tag_pair("e"), batch_format="pandas")
+        ),
+        drop_known,
     )
 
     # 7. deterministic distributed top-k: local head per block, tiny fold
@@ -2020,11 +1954,6 @@ def butterfly_count(
         num_partitions=num_partitions,
     )
 
-    def tag_v(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch["vn"].astype(str), num_partitions)
-        return batch
-
     def wedges(part: pd.DataFrame) -> pd.DataFrame:
         m = part.merge(part, on="vn", suffixes=("_1", "_2"))
         m = m[m["un_1"] < m["un_2"]]
@@ -2039,9 +1968,7 @@ def butterfly_count(
         return pd.DataFrame({"u1": m["un_1"], "u2": m["un_2"], "c": 1})
 
     pair_counts = partial_groupby_agg(
-        dedup.map_batches(tag_v, batch_format="pandas")
-        .groupby("part")
-        .map_groups(wedges, batch_format="pandas"),
+        partitioned_final(dedup, ["vn"], wedges, num_partitions),
         ["u1", "u2"],
         {"c": ("c", "sum")},
         num_partitions=num_partitions,
@@ -2213,11 +2140,6 @@ def hyperball(
             batch_format="pandas",
         )
 
-        def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["part"] = _part_series(batch["node"], num_partitions)
-            return batch
-
         def merge_max(part: pd.DataFrame) -> pd.DataFrame:
             regs = _decode(part["regs"])
             codes, uniq = pd.factorize(part["node"], sort=False)
@@ -2228,10 +2150,9 @@ def hyperball(
             )
 
         counters = (
-            counters.union(incoming)
-            .map_batches(add_part, batch_format="pandas")
-            .groupby("part")
-            .map_groups(merge_max, batch_format="pandas")
+            partitioned_final(
+                counters.union(incoming), ["node"], merge_max, num_partitions
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -2438,11 +2359,7 @@ def k_truss(
     ``copurchase_ktruss``) a recursive-CTE DuckDB oracle repeating the peel.
     """
     from esmarc_ray.ops.dedup import _distinct_on
-    from esmarc_ray.ops.relational import (
-        partial_groupby_agg,
-        partitioned_final,
-        partitioned_join,
-    )
+    from esmarc_ray.ops.relational import partial_groupby_agg, partitioned_join
 
     def undirect(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch[u].astype(str)
@@ -2513,11 +2430,6 @@ def k_truss(
             .materialize()
         )
 
-        def tag_src(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["part"] = _part_series(batch["lo"], num_partitions)
-            return batch
-
         def wedges(part: pd.DataFrame) -> pd.DataFrame:
             m = part.merge(part, on="lo", suffixes=("_1", "_2"))
             keep = (m["deg_hi_1"] < m["deg_hi_2"]) | (
@@ -2528,22 +2440,18 @@ def k_truss(
                 {"apex": m["lo"], "x": m["hi_1"], "y": m["hi_2"]}
             ).reset_index(drop=True)
 
-        candidates = (
-            oriented.map_batches(tag_src, batch_format="pandas")
-            .groupby("part")
-            .map_groups(wedges, batch_format="pandas")
-        )
+        candidates = partitioned_final(oriented, ["lo"], wedges, num_partitions)
 
         def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
             lo = batch["x"].where(batch["x"] < batch["y"], batch["y"])
             hi = batch["y"].where(batch["x"] < batch["y"], batch["x"])
-            key = lo.astype(str) + "\x1f" + hi.astype(str)
+            out = pd.DataFrame({"lo": lo, "hi": hi})
             return pd.DataFrame(
                 {
-                    "key": key,
+                    "key": lo.astype(str) + "\x1f" + hi.astype(str),
                     "apex": batch["apex"],
                     "side": "c",
-                    "part": _part_series(key, num_partitions),
+                    PART: hash_partition(out, ["lo", "hi"], num_partitions),
                 }
             )
 
@@ -2554,7 +2462,7 @@ def k_truss(
                     "key": key,
                     "apex": "",
                     "side": "e",
-                    "part": _part_series(key, num_partitions),
+                    PART: hash_partition(batch, ["a", "b"], num_partitions),
                 }
             )
 
@@ -2576,11 +2484,11 @@ def k_truss(
                 {"ekey": pd.concat([tri["key"], k1, k2], ignore_index=True)}
             )
 
-        support_rows = (
-            candidates.map_batches(tag_cand, batch_format="pandas")
-            .union(und.map_batches(tag_edge, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(edge_rows, batch_format="pandas")
+        support_rows = reduce_partitions(
+            candidates.map_batches(tag_cand, batch_format="pandas").union(
+                und.map_batches(tag_edge, batch_format="pandas")
+            ),
+            edge_rows,
         )
         support = partial_groupby_agg(
             support_rows, ["ekey"], {"support": ("ekey", "count")},
@@ -2787,13 +2695,13 @@ def _brandes_forward(
         rev = batch[[v, u]].rename(columns={v: "s", u: "d"})
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
         out = out[out["s"] != out["d"]]
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         out["kind"] = "e"
         # placeholder payload columns so every union in the loops is
         # schema-identical (src rides frontier rows only)
         out["src"] = out["s"]
         out["sigma"] = np.nan
-        return out[["s", "d", "part", "kind", "src", "sigma"]]
+        return out[["s", "d", PART, "kind", "src", "sigma"]]
 
     edges_tagged = edges.map_batches(undirect, batch_format="pandas").materialize()
 
@@ -2822,7 +2730,7 @@ def _brandes_forward(
                 {
                     "s": batch["node"],
                     "d": batch["node"],
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                     "kind": "f",
                     "src": batch["src"],
                     "sigma": batch["sigma"],
@@ -2849,25 +2757,24 @@ def _brandes_forward(
             )
             return out.rename(columns={"d": "node"})
 
-        candidates = (
+        candidates = reduce_partitions(
             edges_tagged.union(
                 frontier.map_batches(tag_frontier, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(expand, batch_format="pandas")
+            ),
+            expand,
         )
 
         def tag_cand(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch.copy()
             out["dist"] = -1
             out["kind"] = "c"
-            out["part"] = _part_series(out["node"], num_partitions)
-            return out[["src", "node", "dist", "sigma", "kind", "part"]]
+            out[PART] = hash_partition(out, "node", num_partitions)
+            return out[["src", "node", "dist", "sigma", "kind", PART]]
 
         def tag_settled(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["src", "node", "dist", "sigma"]].copy()
             out["kind"] = "s"
-            out["part"] = _part_series(out["node"], num_partitions)
+            out[PART] = hash_partition(out, "node", num_partitions)
             return out
 
         def resolve(part: pd.DataFrame, new_dist: int = h + 1) -> pd.DataFrame:
@@ -2886,10 +2793,12 @@ def _brandes_forward(
             )
 
         settled = (
-            candidates.map_batches(tag_cand, batch_format="pandas")
-            .union(settled.map_batches(tag_settled, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+            reduce_partitions(
+                candidates.map_batches(tag_cand, batch_format="pandas").union(
+                    settled.map_batches(tag_settled, batch_format="pandas")
+                ),
+                resolve,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -2928,7 +2837,7 @@ def _brandes_backward_nodes(
                 {
                     "s": batch["node"],
                     "d": batch["node"],
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                     "kind": "f",
                     "src": batch["src"],
                     "sigma": (1.0 + batch["delta"]) / batch["sigma"],  # ratio rides the sigma slot
@@ -2953,12 +2862,11 @@ def _brandes_backward_nodes(
             )
             return out.rename(columns={"d": "node", "sigma": "ratio"})
 
-        ratios = (
+        ratios = reduce_partitions(
             edges_tagged.union(
                 delta_cur.map_batches(tag_ratio, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(push_ratio, batch_format="pandas")
+            ),
+            push_ratio,
         )
 
         def tag_r(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2966,15 +2874,15 @@ def _brandes_backward_nodes(
             out["kind"] = "r"
             out["dist"] = -1
             out["sigma"] = np.nan
-            out["part"] = _part_series(out["node"], num_partitions)
-            return out[["src", "node", "ratio", "dist", "kind", "part", "sigma"]]
+            out[PART] = hash_partition(out, "node", num_partitions)
+            return out[["src", "node", "ratio", "dist", "kind", PART, "sigma"]]
 
         def tag_prev(batch: pd.DataFrame, want: int = lvl - 1) -> pd.DataFrame:
             out = batch[["src", "node", "dist", "sigma"]].copy()
             out["ratio"] = np.nan
             out["kind"] = "p"
-            out["part"] = _part_series(out["node"], num_partitions)
-            return out[["src", "node", "ratio", "dist", "kind", "part", "sigma"]]
+            out[PART] = hash_partition(out, "node", num_partitions)
+            return out[["src", "node", "ratio", "dist", "kind", PART, "sigma"]]
 
         prev_level = settled.filter(expr=f"dist == {lvl - 1}")
 
@@ -3000,10 +2908,12 @@ def _brandes_backward_nodes(
             return out[["src", "node", "sigma", "delta"]]
 
         delta_cur = (
-            ratios.map_batches(tag_r, batch_format="pandas")
-            .union(prev_level.map_batches(tag_prev, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(mult, batch_format="pandas")
+            reduce_partitions(
+                ratios.map_batches(tag_r, batch_format="pandas").union(
+                    prev_level.map_batches(tag_prev, batch_format="pandas")
+                ),
+                mult,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -3088,7 +2998,7 @@ def edge_betweenness(
                 {
                     "s": batch["node"],
                     "d": batch["node"],
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                     "kind": "f",
                     "src": batch["src"],
                     "sigma": (1.0 + batch["delta"]) / batch["sigma"],
@@ -3115,12 +3025,11 @@ def edge_betweenness(
                 columns={"d": "node", "s": "v_node", "sigma": "ratio"}
             )[["src", "node", "v_node", "ratio"]]
 
-        ratios = (
+        ratios = reduce_partitions(
             edges_tagged.union(
                 delta_cur.map_batches(tag_ratio, batch_format="pandas")
-            )
-            .groupby("part")
-            .map_groups(push_edges, batch_format="pandas")
+            ),
+            push_edges,
         )
 
         def tag_r(batch: pd.DataFrame) -> pd.DataFrame:
@@ -3128,16 +3037,16 @@ def edge_betweenness(
             out["kind"] = "r"
             out["dist"] = -1
             out["sigma"] = np.nan
-            out["part"] = _part_series(out["node"], num_partitions)
-            return out[["src", "node", "v_node", "ratio", "dist", "kind", "part", "sigma"]]
+            out[PART] = hash_partition(out, "node", num_partitions)
+            return out[["src", "node", "v_node", "ratio", "dist", "kind", PART, "sigma"]]
 
         def tag_prev(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["src", "node", "dist", "sigma"]].copy()
             out["v_node"] = out["node"]  # dtype placeholder
             out["ratio"] = np.nan
             out["kind"] = "p"
-            out["part"] = _part_series(out["node"], num_partitions)
-            return out[["src", "node", "v_node", "ratio", "dist", "kind", "part", "sigma"]]
+            out[PART] = hash_partition(out, "node", num_partitions)
+            return out[["src", "node", "v_node", "ratio", "dist", "kind", PART, "sigma"]]
 
         prev_level = settled.filter(expr=f"dist == {lvl - 1}")
 
@@ -3195,10 +3104,12 @@ def edge_betweenness(
             return pd.concat([edges_out, delta_out], ignore_index=True)
 
         combined = (
-            ratios.map_batches(tag_r, batch_format="pandas")
-            .union(prev_level.map_batches(tag_prev, batch_format="pandas"))
-            .groupby("part")
-            .map_groups(mult, batch_format="pandas")
+            reduce_partitions(
+                ratios.map_batches(tag_r, batch_format="pandas").union(
+                    prev_level.map_batches(tag_prev, batch_format="pandas")
+                ),
+                mult,
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -3276,11 +3187,11 @@ def deterministic_walks(
         rev = batch[[v, u]].rename(columns={v: "s", u: "d"})
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
         out = out[out["s"] != out["d"]]
-        out["part"] = _part_series(out["s"], num_partitions)
+        out[PART] = hash_partition(out, "s", num_partitions)
         out["kind"] = "e"
         out["walk_id"] = -1
         out["step"] = -1
-        return out[["s", "d", "part", "kind", "walk_id", "step"]]
+        return out[["s", "d", PART, "kind", "walk_id", "step"]]
 
     edges_tagged = edges.map_batches(undirect, batch_format="pandas").materialize()
 
@@ -3297,7 +3208,7 @@ def deterministic_walks(
                 {
                     "s": batch["node"],
                     "d": batch["node"],
-                    "part": _part_series(batch["node"], num_partitions),
+                    PART: hash_partition(batch, "node", num_partitions),
                     "kind": "w",
                     "walk_id": batch["walk_id"],
                     "step": batch["step"],
@@ -3335,11 +3246,12 @@ def deterministic_walks(
             )
 
         positions = (
-            edges_tagged.union(
-                positions.map_batches(tag_pos, batch_format="pandas")
+            reduce_partitions(
+                edges_tagged.union(
+                    positions.map_batches(tag_pos, batch_format="pandas")
+                ),
+                advance,
             )
-            .groupby("part")
-            .map_groups(advance, batch_format="pandas")
             .repartition(num_partitions)
             .materialize()
         )

@@ -65,13 +65,6 @@ def _dec(col, dim: int) -> np.ndarray:
     return np.frombuffer(b"".join(vals), dtype=np.float32).reshape(-1, dim)
 
 
-def _part_of(keys: pd.Series, num_partitions: int) -> np.ndarray:
-    return (
-        pd.util.hash_pandas_object(keys.astype(str), index=False).to_numpy()
-        % num_partitions
-    ).astype("int32")
-
-
 def _empty_grads() -> pd.DataFrame:
     return pd.DataFrame(
         {
@@ -134,7 +127,7 @@ def transe_train(
     (h, r, t) is GOOD when ``||h + r − t||²`` is small.
     """
     from esmarc_ray.ops.dedup import _distinct_on
-    from esmarc_ray.ops.relational import partitioned_join
+    from esmarc_ray.ops.relational import partitioned_final, partitioned_join
 
     edges = triples.map_batches(
         lambda b: pd.DataFrame(
@@ -236,20 +229,12 @@ def transe_train(
 
         grads = with_ht.map_batches(grad_batch, batch_format="pandas")
 
-        def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["part"] = _part_of(batch["key"], num_partitions)
-            return batch
-
         def reduce_part(part: pd.DataFrame) -> pd.DataFrame:
             return _sum_grads(part, dim)
 
-        folded = (
-            grads.map_batches(add_part, batch_format="pandas")
-            .groupby("part")
-            .map_groups(reduce_part, batch_format="pandas")
-            .materialize()  # consumed by two branches below
-        )
+        folded = partitioned_final(
+            grads, ["key"], reduce_part, num_partitions
+        ).materialize()  # consumed by two branches below
 
         ent_grads = folded.filter(expr="kind == 'e'").map_batches(
             lambda b: pd.DataFrame(

@@ -12,10 +12,11 @@ demonstrate the engine's shuffle-avoidance idioms:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from esmarc_ray.config import derive_width
@@ -88,14 +89,11 @@ def partial_groupby_agg(
                 out = out.drop(columns=[f"__{name}_sum", f"__{name}_cnt"])
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(_add_hash_part(keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(
-            lambda part: final_partition(part.drop(columns="__part")),
-            batch_format="pandas",
-        )
+    return partitioned_final(
+        ds.map_batches(partial, batch_format="pandas"),
+        keys,
+        final_partition,
+        num_partitions,
     )
 
 
@@ -186,10 +184,7 @@ def partitioned_join(
             for c in all_payload:
                 out[c] = batch[c] if c in payload else None
             out["__side"] = side
-            out["__part"] = (
-                pd.util.hash_pandas_object(out["__on"].astype(str), index=False)
-                .to_numpy() % num_partitions
-            ).astype("int32")
+            out[PART] = hash_partition(out, "__on", num_partitions)
             return out
 
         return fn
@@ -213,7 +208,7 @@ def partitioned_join(
     tagged = left.map_batches(tag("L", left_cols), batch_format="pandas").union(
         right.map_batches(tag("R", right_cols), batch_format="pandas")
     )
-    return tagged.groupby("__part").map_groups(merge, batch_format="pandas")
+    return reduce_partitions(tagged, merge)
 
 
 def sort_topk(ds: ray.data.Dataset, by: str, k: int, descending: bool = True) -> ray.data.Dataset:
@@ -347,11 +342,67 @@ def broadcast_asof_join(
     return left.map_batches(join, batch_format="pandas")
 
 
+PART = "__part"
+
+
+def hash_partition(frame, keys, num_partitions: int) -> np.ndarray:
+    """The engine's one partition hash: int32 id in ``[0, num_partitions)``
+    of every row of ``frame`` (a pandas DataFrame or an Arrow table) over
+    ``keys`` (a column name or a list of them).
+
+    Each key column is stringified and a multi-key row joins its parts with
+    ``"\\x1f"``, then pandas' C siphash runs vectorized over the strings —
+    so equal keys land in one partition whatever their dtype on either side
+    of a co-partitioned exchange, deterministically within a pandas version.
+    """
+    if isinstance(keys, str):
+        keys = [keys]
+    if isinstance(frame, pa.Table):
+        cols = [frame.column(k).to_pandas() for k in keys]
+    else:
+        cols = [frame[k] for k in keys]
+    key = cols[0].astype(str)
+    for col in cols[1:]:
+        key = key + "\x1f" + col.astype(str)
+    return (
+        pd.util.hash_pandas_object(key, index=False).to_numpy() % num_partitions
+    ).astype("int32")
+
+
+def reduce_partitions(
+    tagged: ray.data.Dataset,
+    fn: Callable,
+    *,
+    batch_format: str = "pandas",
+) -> ray.data.Dataset:
+    """The engine's one reduce step: ``fn`` runs once per ``__part`` value of
+    ``tagged`` (rows tagged by :func:`hash_partition`, possibly from several
+    unioned inputs) and receives that partition without the ``__part``
+    column.  The exchange is Ray's sort-based groupby (its ``HASH_SHUFFLE``
+    strategy measured 1.5–3× slower here); a reducer that receives no rows
+    emits a schemaless empty block and ``fn`` is never called for it."""
+    if batch_format == "pyarrow":
+
+        def run(part):
+            return fn(part.drop_columns([PART]))
+
+    else:
+
+        def run(part):
+            return fn(part.drop(columns=PART))
+
+    # Ray names the reduce operator after the UDF: keep the caller's name
+    run.__name__ = getattr(fn, "__name__", run.__name__)
+    return tagged.groupby(PART).map_groups(run, batch_format=batch_format)
+
+
 def partitioned_final(
     ds: ray.data.Dataset,
     keys: list[str],
-    final_fn: Callable[[pd.DataFrame], pd.DataFrame],
+    final_fn: Callable,
     num_partitions: int | None = None,
+    *,
+    batch_format: str = "pandas",
 ) -> ray.data.Dataset:
     """Run a final/merge step once per hash-PARTITION of the keys instead of
     once per distinct key: replaces ``groupby(keys).map_groups(per_key_fn)``,
@@ -360,16 +411,31 @@ def partitioned_final(
     every key hashed to the partition and must group internally (vectorized
     ``df.groupby`` — or a plain Python loop over groups when the per-key merge
     is irreducibly scalar: that loop runs inside ONE task, not one task per
-    key)."""
+    key).  ``batch_format`` ("pandas" or "pyarrow") is the batch type both
+    the tag step and ``final_fn`` see.
+
+    This is :func:`hash_partition` as a tag step followed by
+    :func:`reduce_partitions`; co-partitioned multi-input exchanges (joins,
+    iterative graph rounds) tag each input themselves and union them before
+    the same reduce step."""
     num_partitions = _resolve_partitions(num_partitions, ds)
 
-    def run(part: pd.DataFrame) -> pd.DataFrame:
-        return final_fn(part.drop(columns="__part"))
+    if batch_format == "pyarrow":
 
-    return (
-        ds.map_batches(_add_hash_part(keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(run, batch_format="pandas")
+        def add_part(batch: pa.Table) -> pa.Table:
+            parts = hash_partition(batch, keys, num_partitions)
+            return batch.append_column(PART, pa.array(parts, pa.int32()))
+
+    else:
+
+        def add_part(batch: pd.DataFrame) -> pd.DataFrame:
+            batch[PART] = hash_partition(batch, keys, num_partitions)
+            return batch
+
+    return reduce_partitions(
+        ds.map_batches(add_part, batch_format=batch_format),
+        final_fn,
+        batch_format=batch_format,
     )
 
 
@@ -383,23 +449,6 @@ def _resolve_partitions(num_partitions: int | None, ds=None) -> int:
     from esmarc_ray.config import dataset_size_hint, derive_partitions
 
     return derive_partitions(dataset_size_hint(ds) if ds is not None else None)
-
-
-def _add_hash_part(keys: list[str], num_partitions: int):
-    """Batch fn adding a ``__part`` hash-partition id over ``keys`` —
-    vectorized (pandas' C siphash), deterministic within a pandas version."""
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(keys) == 1:
-            key = batch[keys[0]].astype(str)
-        else:
-            key = batch[keys].astype(str).agg("\x1f".join, axis=1)
-        batch["__part"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
-
-    return add_part
 
 
 def partitioned_semi_join(
@@ -421,18 +470,10 @@ def partitioned_semi_join(
     key_column = key_column or on
     big_cols = list(big.schema().names)
 
-    def _parts(series: pd.Series) -> pd.Series:
-        # vectorized (pandas C siphash) — a per-row crc32 .map here runs a
-        # Python call per row on the hot shuffle path
-        return (
-            pd.util.hash_pandas_object(series.astype(str), index=False)
-            .to_numpy() % num_partitions
-        ).astype("int32")
-
     def tag_big(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
         batch["__side"] = "b"
-        batch["__part"] = _parts(batch[on])
+        batch[PART] = hash_partition(batch, on, num_partitions)
         return batch
 
     def tag_keys(batch: pd.DataFrame) -> pd.DataFrame:
@@ -441,7 +482,7 @@ def partitioned_semi_join(
         uniq = batch[key_column].dropna().drop_duplicates().reset_index(drop=True)
         out = pd.DataFrame({c: (uniq if c == on else None) for c in big_cols})
         out["__side"] = "k"
-        out["__part"] = _parts(out[on])
+        out[PART] = hash_partition(out, on, num_partitions)
         return out
 
     def filt(part: pd.DataFrame) -> pd.DataFrame:
@@ -453,7 +494,7 @@ def partitioned_semi_join(
     tagged = big.map_batches(tag_big, batch_format="pandas").union(
         keys.map_batches(tag_keys, batch_format="pandas")
     )
-    return tagged.groupby("__part").map_groups(filt, batch_format="pandas")
+    return reduce_partitions(tagged, filt)
 
 
 def partitioned_asof_join(
@@ -505,17 +546,14 @@ def partitioned_asof_join(
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             out = pd.DataFrame({c: (batch[c] if c in own else None) for c in all_cols})
             out["__side"] = side
-            part = (
-                pd.util.hash_pandas_object(batch[by].astype(str), index=False)
-                .to_numpy() % num_partitions
-            ).astype("int32")
+            part = hash_partition(batch, by, num_partitions)
             mask = batch[by].notna().to_numpy()
             if side == "R":
-                out["__part"] = part
+                out[PART] = part
                 return out[mask]
             # null-`by` LEFT rows can never match; send them to a reserved
             # left-only partition so they surface unmatched (SQL LEFT JOIN)
-            out["__part"] = np.where(mask, part, num_partitions).astype("int32")
+            out[PART] = np.where(mask, part, num_partitions).astype("int32")
             return out
 
         return fn
@@ -536,7 +574,7 @@ def partitioned_asof_join(
     tagged = left.map_batches(tag("L", left_cols), batch_format="pandas").union(
         right.map_batches(tag("R", right_cols), batch_format="pandas")
     )
-    return tagged.groupby("__part").map_groups(merge, batch_format="pandas")
+    return reduce_partitions(tagged, merge)
 
 
 @derive_width
@@ -567,8 +605,7 @@ def running_window(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         out = (
-            part.drop(columns="__part")
-            .sort_values([partition_by] + order_by)
+            part.sort_values([partition_by] + order_by)
             .reset_index(drop=True)
         )
         grouped = out.groupby(partition_by, sort=False)
@@ -578,11 +615,7 @@ def running_window(
             out[out_name] = getattr(grouped[value_column], cum)()
         return out
 
-    return (
-        ds.map_batches(_add_hash_part([partition_by], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 def broadcast_range_join(
@@ -826,19 +859,15 @@ def interval_overlap_join(
             else:
                 df["__bin"], df["__w"] = 0, 0
             df["__side"] = side
-            key = df["__bin"].astype(str)
-            if by is not None:
-                key = df[by].astype(str) + "\x1f" + key
-            df["__part"] = (
-                pd.util.hash_pandas_object(key, index=False).to_numpy()
-                % num_partitions
-            ).astype("int32")
+            df[PART] = hash_partition(
+                df, ["__bin"] if by is None else [by, "__bin"], num_partitions
+            )
             # unified union schema
             for c in all_cols:
                 if c not in df.columns:
                     df[c] = None
             return df[
-                all_cols + ["__s", "__e", "__bin", "__w", "__side", "__part"]
+                all_cols + ["__s", "__e", "__bin", "__w", "__side", PART]
             ]
 
         return fn
@@ -877,7 +906,7 @@ def interval_overlap_join(
             _prep("r", right_start, right_end, out_right), batch_format="pandas"
         )
     )
-    return tagged.groupby("__part").map_groups(merge, batch_format="pandas")
+    return reduce_partitions(tagged, merge)
 
 
 def grouped_quantile(
@@ -908,7 +937,7 @@ def grouped_quantile(
         raise ValueError(f"unknown interpolation {interpolation!r}")
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part").sort_values(group_keys + [value_column])
+        part = part.sort_values(group_keys + [value_column])
         vals = part[value_column].to_numpy(dtype="float64")
         grouped = part.groupby(group_keys, sort=False)
         sizes_series = grouped.size()
@@ -930,11 +959,11 @@ def grouped_quantile(
         return out
 
     num_partitions = _resolve_partitions(None, ds)
-    return (
-        ds.select_columns(group_keys + [value_column])
-        .map_batches(_add_hash_part(group_keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
+    return partitioned_final(
+        ds.select_columns(group_keys + [value_column]),
+        group_keys,
+        per_partition,
+        num_partitions,
     )
 
 
@@ -1524,7 +1553,7 @@ def resample_ffill(
     order_tiebreak = order_tiebreak or []
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part").sort_values(
+        part = part.sort_values(
             [partition_by, ts_column] + order_tiebreak
         )
         frames = []
@@ -1545,13 +1574,7 @@ def resample_ffill(
             )
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        ds.map_batches(
-            _add_hash_part([partition_by], num_partitions), batch_format="pandas"
-        )
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 def category_drift(
@@ -1660,15 +1683,7 @@ def frequent_pairs(
             }
         )
 
-    pairs = (
-        ds.map_batches(
-            _add_hash_part([basket_column], num_partitions), batch_format="pandas"
-        )
-        .groupby("__part")
-        .map_groups(
-            lambda p: pair_batch(p.drop(columns="__part")), batch_format="pandas"
-        )
-    )
+    pairs = partitioned_final(ds, [basket_column], pair_batch, num_partitions)
     totals = partial_groupby_agg(
         pairs, ["item_a", "item_b"], {"n": ("n", "sum")}
     ).map_batches(
@@ -1994,11 +2009,8 @@ def _set_op(
     def tag(side: str):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[columns].drop_duplicates().reset_index(drop=True)
-            key = out[columns].astype(str).agg("\x1f".join, axis=1)
             out["__side"] = side
-            out["__part"] = (
-                pd.util.hash_pandas_object(key, index=False) % num_partitions
-            ).astype("int32")
+            out[PART] = hash_partition(out, columns, num_partitions)
             return out
 
         return fn
@@ -2013,7 +2025,7 @@ def _set_op(
     tagged = left.map_batches(tag("L"), batch_format="pandas").union(
         right.map_batches(tag("R"), batch_format="pandas")
     )
-    return tagged.groupby("__part").map_groups(reduce_part, batch_format="pandas")
+    return reduce_partitions(tagged, reduce_part)
 
 
 def hash_split(
@@ -2120,8 +2132,7 @@ def window_rank(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         out = (
-            part.drop(columns="__part")
-            .sort_values([partition_by] + order_by)
+            part.sort_values([partition_by] + order_by)
             .reset_index(drop=True)
         )
         grouped = out.groupby(partition_by, sort=False)
@@ -2165,11 +2176,7 @@ def window_rank(
             )
         return out
 
-    return (
-        ds.map_batches(_add_hash_part([partition_by], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 @derive_width
@@ -2404,8 +2411,7 @@ def event_transitions(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         seq = (
-            part.drop(columns="__part")
-            .sort_values([partition_by] + order_by)
+            part.sort_values([partition_by] + order_by)
             .reset_index(drop=True)
         )
         nxt = seq.groupby(partition_by, sort=False)[type_column].shift(-1)
@@ -2415,13 +2421,7 @@ def event_transitions(
             ["src_event", "dst_event"], as_index=False, sort=False
         ).size().rename(columns={"size": "n"})
 
-    counts = (
-        ds.map_batches(
-            _add_hash_part([partition_by], num_partitions), batch_format="pandas"
-        )
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    counts = partitioned_final(ds, [partition_by], per_partition, num_partitions)
     totals = partial_groupby_agg(counts, ["src_event", "dst_event"], {"n": ("n", "sum")})
 
     def normalize(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2459,18 +2459,13 @@ def window_lag(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         out = (
-            part.drop(columns="__part")
-            .sort_values([partition_by] + order_by)
+            part.sort_values([partition_by] + order_by)
             .reset_index(drop=True)
         )
         out[out_name] = out.groupby(partition_by, sort=False)[value_column].shift(offset)
         return out
 
-    return (
-        ds.map_batches(_add_hash_part([partition_by], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 @derive_width
@@ -2501,8 +2496,7 @@ def moving_window(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         out = (
-            part.drop(columns="__part")
-            .sort_values([partition_by] + order_by)
+            part.sort_values([partition_by] + order_by)
             .reset_index(drop=True)
         )
         rolled = getattr(
@@ -2513,11 +2507,7 @@ def moving_window(
         out[out_name] = _round_half_up(rolled, round_to) if round_to is not None else rolled
         return out
 
-    return (
-        ds.map_batches(_add_hash_part([partition_by], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 @derive_width
@@ -2542,23 +2532,20 @@ def grouped_mode(
         )
         return out
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _add_hash_part(group_keys + [value_column], num_partitions)(batch)
-
     def sum_counts(part: pd.DataFrame) -> pd.DataFrame:
         return (
-            part.drop(columns="__part")
-            .groupby(group_keys + [value_column], sort=False)["__n"]
+            part.groupby(group_keys + [value_column], sort=False)["__n"]
             .sum()
             .reset_index()
         )
 
-    counts = (
-        ds.select_columns(group_keys + [value_column])
-        .map_batches(local_counts, batch_format="pandas")
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(sum_counts, batch_format="pandas")
+    counts = partitioned_final(
+        ds.select_columns(group_keys + [value_column]).map_batches(
+            local_counts, batch_format="pandas"
+        ),
+        group_keys + [value_column],
+        sum_counts,
+        num_partitions,
     )
     best = topk_per_group(counts, group_keys, ["__n", value_column], 1)
 
@@ -2591,17 +2578,17 @@ def grouped_string_agg(
     task; for giant groups emit a list column and cap it instead."""
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part").copy()
+        part = part.copy()
         part[value_column] = part[value_column].astype(str)
         part = part.sort_values(group_keys + [value_column])
         out = part.groupby(group_keys, sort=False)[value_column].agg(sep.join).reset_index()
         return out.rename(columns={value_column: out_name})
 
-    return (
-        ds.select_columns(group_keys + [value_column])
-        .map_batches(_add_hash_part(group_keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
+    return partitioned_final(
+        ds.select_columns(group_keys + [value_column]),
+        group_keys,
+        per_partition,
+        num_partitions,
     )
 
 
@@ -2627,7 +2614,7 @@ def sessionize(
         gap = pd.Timedelta(seconds=float(gap))
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part").sort_values([user_column, ts_column])
+        part = part.sort_values([user_column, ts_column])
         users = part[user_column]
         ts = part[ts_column]
         same_user = users.eq(users.shift())
@@ -2658,11 +2645,7 @@ def sessionize(
         out["longest_session_events"] = out["longest_session_events"].astype("int64")
         return out
 
-    return (
-        events.map_batches(_add_hash_part([user_column], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(events, [user_column], per_partition, num_partitions)
 
 
 @derive_width
@@ -2765,7 +2748,6 @@ def grouped_entropy(
     )
 
     def reduce_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part")
         n = part.groupby(keys)["__c"].transform("sum")
         p = part["__c"] / n
         part["__term"] = -p * np.log2(p)
@@ -2775,11 +2757,7 @@ def grouped_entropy(
             out[out_name] = _round_half_up(out[out_name], round_to)
         return out
 
-    return (
-        counts.map_batches(_add_hash_part(keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(reduce_partition, batch_format="pandas")
-    )
+    return partitioned_final(counts, keys, reduce_partition, num_partitions)
 
 
 @derive_width
@@ -2809,7 +2787,6 @@ def quota_per_group(
     import hashlib
 
     order = ["__qk", id_column]
-    add_part = _add_hash_part(group_keys, num_partitions)
 
     def local_quota(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
@@ -2819,16 +2796,17 @@ def quota_per_group(
         batch = (
             batch.sort_values(order).groupby(group_keys, sort=False).head(k)
         )
-        return add_part(batch)
+        return batch
 
     def partition_quota(part: pd.DataFrame) -> pd.DataFrame:
         out = part.sort_values(order).groupby(group_keys, sort=False).head(k)
-        return out.drop(columns=["__qk", "__part"])
+        return out.drop(columns="__qk")
 
-    return (
-        ds.map_batches(local_quota, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(partition_quota, batch_format="pandas")
+    return partitioned_final(
+        ds.map_batches(local_quota, batch_format="pandas"),
+        group_keys,
+        partition_quota,
+        num_partitions,
     )
 
 
@@ -3132,8 +3110,7 @@ def range_window(
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
         out = (
-            part.drop(columns="__part")
-            .sort_values([partition_by, ts_column], kind="mergesort")
+            part.sort_values([partition_by, ts_column], kind="mergesort")
             .reset_index(drop=True)
         )
         results = np.empty(len(out), dtype="float64")
@@ -3155,11 +3132,7 @@ def range_window(
         out[out_name] = _round_half_up(results, round_to) if round_to is not None else results
         return out
 
-    return (
-        ds.map_batches(_add_hash_part([partition_by], num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partitioned_final(ds, [partition_by], per_partition, num_partitions)
 
 
 @derive_width
@@ -3434,15 +3407,7 @@ def diff_datasets(
             out = batch[key_cols + compare_cols].copy()
             out.columns = key_cols + [f"{c}__{side}" for c in compare_cols]
             out["__side"] = side
-            key = (
-                out[key_cols[0]].astype(str)
-                if len(key_cols) == 1
-                else out[key_cols].astype(str).agg("\x1f".join, axis=1)
-            )
-            out["__part"] = (
-                pd.util.hash_pandas_object(key, index=False).to_numpy()
-                % num_partitions
-            ).astype("int32")
+            out[PART] = hash_partition(out, key_cols, num_partitions)
             return out
 
         return fn
@@ -3473,7 +3438,7 @@ def diff_datasets(
     parts = left.map_batches(tag("L"), batch_format="pandas").union(
         right.map_batches(tag("R"), batch_format="pandas")
     )
-    partials = parts.groupby("__part").map_groups(classify, batch_format="pandas")
+    partials = reduce_partitions(parts, classify)
     return partial_groupby_agg(partials, ["status"], {"n": ("n", "sum")})
 
 
@@ -3504,25 +3469,24 @@ def token_quota_per_group(
     tails with a per-batch doc-count cap first."""
     import hashlib
 
-    add_part = _add_hash_part(group_keys, num_partitions)
-
     def add_key(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
         batch["__qk"] = [
             hashlib.md5(f"{seed}:{v}".encode()).hexdigest() for v in batch[id_column]
         ]
-        return add_part(batch)
+        return batch
 
     def partition_budget(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["__qk", id_column], kind="mergesort")
         grouped = part.groupby(group_keys, sort=False)
         cum_before = grouped[token_column].cumsum() - part[token_column]
-        return part[cum_before < budget].drop(columns=["__qk", "__part"])
+        return part[cum_before < budget].drop(columns="__qk")
 
-    return (
-        ds.map_batches(add_key, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(partition_budget, batch_format="pandas")
+    return partitioned_final(
+        ds.map_batches(add_key, batch_format="pandas"),
+        group_keys,
+        partition_budget,
+        num_partitions,
     )
 
 
@@ -3888,7 +3852,7 @@ def grouped_quantiles_multi(
     qs = sorted(float(q) for q in qs)
 
     def per_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns="__part").sort_values(group_keys + [value_column])
+        part = part.sort_values(group_keys + [value_column])
         vals = part[value_column].to_numpy(dtype="float64")
         grouped = part.groupby(group_keys, sort=False)
         sizes_series = grouped.size()
@@ -3907,11 +3871,11 @@ def grouped_quantiles_multi(
             frames.append(out)
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        ds.select_columns(group_keys + [value_column])
-        .map_batches(_add_hash_part(group_keys, num_partitions), batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
+    return partitioned_final(
+        ds.select_columns(group_keys + [value_column]),
+        group_keys,
+        per_partition,
+        num_partitions,
     )
 
 
@@ -4252,11 +4216,7 @@ def sorted_neighborhood_join(
             out, columns=[f"{id_column}_a", f"{id_column}_b", "similarity"]
         ).astype({f"{id_column}_a": "int64", f"{id_column}_b": "int64"})
 
-    return (
-        ranked.map_batches(route, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return reduce_partitions(ranked.map_batches(route, batch_format="pandas"), pairs)
 
 
 @derive_width
@@ -4512,17 +4472,8 @@ def canopy_clusters(
             }
         )
 
-    from esmarc_ray.ops.graph import _part_series
-
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch[id_col].astype(str), num_partitions)
-        return batch
-
     local = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("part")
-        .map_groups(local_centers, batch_format="pandas")
+        partitioned_final(ds, [id_col], local_centers, num_partitions)
         .to_pandas()
         .sort_values("center_id")
     )

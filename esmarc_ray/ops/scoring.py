@@ -10,12 +10,11 @@ are tiny (one row per predicate) and summed driver-side.
 
 from __future__ import annotations
 
-import zlib
-
 import pandas as pd
 import ray.data
 
 from esmarc_ray.config import derive_width
+from esmarc_ray.ops.relational import partitioned_final
 
 
 KEY_COLS = ["doc_id", "pred", "obj"]
@@ -44,17 +43,6 @@ def triple_pr(
     """
     union = _tag(ours, "ours").union(_tag(reference, "ref"))
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        key = (
-            batch["doc_id"].astype(str)
-            + "\x1f" + batch["pred"].astype(str)
-            + "\x1f" + batch["obj"].astype(str)
-        )
-        batch["part"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
-
     def score_partition(part: pd.DataFrame) -> pd.DataFrame:
         d = part.drop_duplicates(KEY_COLS + ["side"])
         flags = (
@@ -74,12 +62,9 @@ def triple_pr(
         )
         return out.groupby("pred", as_index=False).sum()
 
-    partials = (
-        union.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(score_partition, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = partitioned_final(
+        union, KEY_COLS, score_partition, num_partitions
+    ).to_pandas()
     totals = partials.groupby("pred", as_index=False)[["tp", "fp", "fn"]].sum()
     totals["precision"] = totals["tp"] / (totals["tp"] + totals["fp"]).clip(lower=1)
     totals["recall"] = totals["tp"] / (totals["tp"] + totals["fn"]).clip(lower=1)

@@ -20,6 +20,12 @@ import pandas as pd
 import ray.data
 
 from esmarc_ray.config import derive_width
+from esmarc_ray.ops.relational import (
+    PART,
+    hash_partition,
+    partitioned_final,
+    reduce_partitions,
+)
 
 
 # GPT-2-style pre-tokenizer regex, simplified (public knowledge)
@@ -295,17 +301,9 @@ def pack_sequences(
     Output: one row per packed sequence —
     (part, seq_idx, n_docs, total_tokens, doc_ids:list).
     """
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[[id_column, token_column]].copy()
-        batch["__part"] = (
-            pd.util.hash_pandas_object(batch[id_column].astype(str), index=False)
-            .to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
-
     def pack(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(id_column)
-        part_id = int(part["__part"].iloc[0])
+        part_id = int(hash_partition(part.iloc[:1], id_column, num_partitions)[0])
         seqs: list[dict] = []
         cur_ids: list = []
         cur_tokens = 0
@@ -328,10 +326,9 @@ def pack_sequences(
             }
         )
 
-    return (
-        docs.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(pack, batch_format="pandas")
+    return partitioned_final(
+        docs.select_columns([id_column, token_column]), [id_column], pack,
+        num_partitions,
     )
 
 
@@ -956,23 +953,8 @@ def paragraph_dedup(
         df["__h"] = pd.util.hash_pandas_object(df["__ptext"], index=False).astype("uint64")
         return df
 
-    def add_hash_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["__part"] = (batch["__h"] % num_partitions).astype("int32")
-        return batch
-
     def first_per_hash(part: pd.DataFrame) -> pd.DataFrame:
-        keep = (
-            part.sort_values(["__h", id_column, "__pos"])
-            .drop_duplicates("__h")
-        )
-        return keep.drop(columns=["__part"])
-
-    def add_doc_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["__part"] = (
-            pd.util.hash_pandas_object(batch[id_column].astype(str), index=False)
-            % num_partitions
-        ).astype("int32")
-        return batch
+        return part.sort_values(["__h", id_column, "__pos"]).drop_duplicates("__h")
 
     def rebuild(part: pd.DataFrame) -> pd.DataFrame:
         rows = (
@@ -982,17 +964,13 @@ def paragraph_dedup(
         )
         return pd.DataFrame({id_column: rows.index, text_column: rows.to_numpy()})
 
-    survivors = (
-        docs.map_batches(explode, batch_format="pandas")
-        .map_batches(add_hash_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(first_per_hash, batch_format="pandas")
+    survivors = partitioned_final(
+        docs.map_batches(explode, batch_format="pandas"),
+        ["__h"],
+        first_per_hash,
+        num_partitions,
     )
-    return (
-        survivors.map_batches(add_doc_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(rebuild, batch_format="pandas")
-    )
+    return partitioned_final(survivors, [id_column], rebuild, num_partitions)
 
 
 def normalize_text(
@@ -1526,7 +1504,7 @@ def split_ngram_overlap(
     grams), never pairs."""
     import numpy as np
 
-    from esmarc_ray.ops.relational import partial_groupby_agg, partitioned_final
+    from esmarc_ray.ops.relational import partial_groupby_agg
 
     def shingles(batch: pd.DataFrame) -> pd.DataFrame:
         rows_g: list[str] = []
@@ -1975,20 +1953,16 @@ def duplicate_span_removal(
              "__pos": pos[valid]}
         )
 
-    def add_gram_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["__part"] = (batch["__h"] % num_partitions).astype("int32")
-        return batch
-
     def keep_duplicated(part: pd.DataFrame) -> pd.DataFrame:
         sizes = part.groupby("__h")["__h"].transform("size")
         hit = part[sizes >= min_count]
         return hit[[id_column, "__pos"]]
 
-    dup_occ = (
-        docs.map_batches(explode_grams, batch_format="pandas")
-        .map_batches(add_gram_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(keep_duplicated, batch_format="pandas")
+    dup_occ = partitioned_final(
+        docs.map_batches(explode_grams, batch_format="pandas"),
+        ["__h"],
+        keep_duplicated,
+        num_partitions,
     )
 
     def tag_docs(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1997,12 +1971,7 @@ def duplicate_span_removal(
                 id_column: batch[id_column],
                 "__txt": batch[text_column].fillna(""),
                 "__pos": np.int64(-1),
-                "__part": (
-                    pd.util.hash_pandas_object(
-                        batch[id_column].astype(str), index=False
-                    ).to_numpy()
-                    % num_partitions
-                ).astype("int32"),
+                PART: hash_partition(batch, id_column, num_partitions),
             }
         )
 
@@ -2012,12 +1981,7 @@ def duplicate_span_removal(
                 id_column: batch[id_column],
                 "__txt": "",
                 "__pos": batch["__pos"].astype("int64"),
-                "__part": (
-                    pd.util.hash_pandas_object(
-                        batch[id_column].astype(str), index=False
-                    ).to_numpy()
-                    % num_partitions
-                ).astype("int32"),
+                PART: hash_partition(batch, id_column, num_partitions),
             }
         )
 
@@ -2059,4 +2023,4 @@ def duplicate_span_removal(
     tagged = docs.map_batches(tag_docs, batch_format="pandas").union(
         dup_occ.map_batches(tag_dups, batch_format="pandas")
     )
-    return tagged.groupby("__part").map_groups(rebuild, batch_format="pandas")
+    return reduce_partitions(tagged, rebuild)

@@ -57,11 +57,12 @@ def resolve_entities(
     the component.
     """
     from esmarc_ray.ops.dedup import _distinct_on
-    from esmarc_ray.ops.graph import _part_series, connected_components
+    from esmarc_ray.ops.graph import connected_components
     from esmarc_ray.ops.relational import (
         _jaro_winkler,
         canopy_clusters,
         partial_groupby_agg,
+        partitioned_final,
         partitioned_join,
     )
 
@@ -107,11 +108,6 @@ def resolve_entities(
         raise ValueError(f"unknown blocking mode: {blocking!r}")
 
     # 2. per-block-key candidate pairs, globally distinct
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = _part_series(batch["bkey"], num_partitions)
-        return batch
-
     def pairs(part: pd.DataFrame) -> pd.DataFrame:
         m = part.merge(part, on="bkey", suffixes=("_a", "_b"))
         m = m[m["rid_a"] < m["rid_b"]]
@@ -121,9 +117,7 @@ def resolve_entities(
     # the same texts, so this is exactly per-pair dedup (and _distinct_on
     # keeps only the listed columns)
     cand = _distinct_on(
-        with_text.map_batches(tag, batch_format="pandas")
-        .groupby("part")
-        .map_groups(pairs, batch_format="pandas"),
+        partitioned_final(with_text, ["bkey"], pairs, num_partitions),
         ["rid_a", "rid_b", "txt_a", "txt_b"],
         num_partitions=num_partitions,
     )

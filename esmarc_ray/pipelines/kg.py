@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
 import ray
 import ray.data
@@ -45,6 +46,23 @@ def _input_shards(input_path: str, num_shards: int) -> list[list[str]]:
         raise FileNotFoundError(f"no parquet files under {input_path}")
     num_shards = min(num_shards, len(files))
     return [files[i::num_shards] for i in range(num_shards)]
+
+
+def extract_and_link(
+    spans: ray.data.Dataset,
+    *,
+    config: EngineConfig = DEFAULT_CONFIG,
+    indexes_ref: "ray.ObjectRef | None" = None,
+    link_concurrency: int | None = None,
+) -> ray.data.Dataset:
+    """The KG DAG's narrow half: extract entity docs from span rows, then
+    link them against ``indexes_ref`` (``ray.put(build_link_indexes(...))``)
+    when one is given.  ``run_kg_pipeline`` and ``__ray_entry__.entry()``
+    both build their docs with this."""
+    docs = extract_docs(spans, config)
+    if indexes_ref is not None:
+        docs = link_entities(docs, indexes_ref, concurrency=link_concurrency)
+    return docs
 
 
 def run_kg_pipeline(
@@ -81,11 +99,17 @@ def run_kg_pipeline(
         if resume and shard_is_complete(shard_dir):
             shard_status.append({"shard": k, "status": "skipped(resume)"})
             continue
-        docs = extract_docs(read_documents(files, query=query), config)
-        if link_tables is not None:
-            if indexes_ref is None:
-                indexes_ref = ray.put(build_link_indexes(link_tables))
-            docs = link_entities(docs, indexes_ref, concurrency=link_concurrency)
+        if link_tables is not None and indexes_ref is None:
+            indexes_ref = ray.put(build_link_indexes(link_tables))
+        docs = extract_and_link(
+            read_documents(files, query=query),
+            config=config,
+            indexes_ref=indexes_ref,
+            link_concurrency=link_concurrency,
+        )
+        # an incomplete shard dir holds a crashed attempt's files: the write
+        # adds uuid-named files, so wipe it or phase 2 reads both copies
+        shutil.rmtree(shard_dir, ignore_errors=True)
         shard_dir.mkdir(parents=True, exist_ok=True)
         write_table(docs, str(shard_dir))
         manifest = {"inputs": files, "row_count": -1}  # -1: counted lazily downstream
@@ -103,8 +127,6 @@ def run_kg_pipeline(
         # it in a parquet checkpoint so the wide phase runs once, not twice
         canon_dir = out / "canonical"
         if canon_dir.exists():
-            import shutil
-
             shutil.rmtree(canon_dir)
         write_table(canonical, str(canon_dir))
         canonical = ray.data.read_parquet(str(canon_dir))
@@ -116,8 +138,6 @@ def run_kg_pipeline(
         # would accumulate a second copy of every .ldj stream
         jsonld_dir = out / "jsonld"
         if jsonld_dir.exists():
-            import shutil
-
             shutil.rmtree(jsonld_dir)
         files_manifest = write_jsonld(canonical, str(jsonld_dir)).to_pandas()
         jsonld_summary = {

@@ -270,6 +270,7 @@ def interleave_chunks(
     Output: (doc_id, chunk_id, n_text_tokens, n_media, media_refs) with
     media_refs comma-joined in offset order ('' when none).
     """
+    from esmarc_ray.ops.relational import partitioned_final
 
     def flatten(batch: pa.Table) -> pa.Table:
         col = batch.column("spans")
@@ -289,16 +290,12 @@ def interleave_chunks(
 
     flat = docs.map_batches(flatten, batch_format="pyarrow", zero_copy_batch=True)
 
-    def add_tokens_and_part(batch: "pd.DataFrame") -> "pd.DataFrame":
+    def add_tokens(batch: "pd.DataFrame") -> "pd.DataFrame":
         is_text = batch["kind"] == "text"
         ntok = batch["text"].fillna("").str.split().str.len().fillna(0).astype("int64")
         batch = batch.copy()
         batch["ntok"] = ntok.where(is_text, 0)
         batch["is_media"] = (batch["kind"] == "media").astype("int64")
-        batch["part"] = (
-            pd.util.hash_pandas_object(batch["doc_id"].astype(str), index=False)
-            .to_numpy() % num_partitions
-        ).astype("int32")
         return batch
 
     def assemble(part: "pd.DataFrame") -> "pd.DataFrame":
@@ -320,8 +317,9 @@ def interleave_chunks(
             agg["media_refs"] = ""
         return agg
 
-    return (
-        flat.map_batches(add_tokens_and_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(assemble, batch_format="pandas")
+    return partitioned_final(
+        flat.map_batches(add_tokens, batch_format="pandas"),
+        ["doc_id"],
+        assemble,
+        num_partitions,
     )

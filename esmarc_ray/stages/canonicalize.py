@@ -20,9 +20,11 @@ the north rule's addition.  Design:
 Physical plan: the natural ``groupby(canon_key).map_groups(merge)`` spends
 one UDF task + one Arrow table per group — ruinous with ~1 group per input
 row (millions of one-doc entities).  Instead the merge hash-partitions on
-``hash(key) % num_partitions`` (a column added batch-side), groups on the
-PARTITION id — so the shuffle moves the same bytes but the reducer runs once
-per partition — and merges all key-runs inside a partition in plain Python.
+``hash(key) % num_partitions`` (the engine's one exchange: the id column
+comes from ``ops.relational.hash_partition`` batch-side and the reducer runs
+through ``reduce_partitions``), groups on the PARTITION id — so the shuffle
+moves the same bytes but the reducer runs once per partition — and merges
+all key-runs inside a partition in plain Python.
 ``num_partitions`` bounds reducer memory at ~|input|/P rows; at cluster
 scale raise it with the data (it is the analogue of Spark's
 ``spark.sql.shuffle.partitions``).
@@ -38,9 +40,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from esmarc_ray.values import merge_value
-
 from esmarc_ray.config import derive_width
+from esmarc_ray.ops.relational import (
+    PART,
+    hash_partition,
+    partitioned_final,
+    reduce_partitions,
+)
+from esmarc_ray.values import merge_value
 
 MERGEABLE = ("sameAs", "about", "mentions", "_merged_from")
 
@@ -113,34 +120,19 @@ def merge_docs(docs: list[tuple[str, dict]]) -> tuple[str, dict]:
     return rep_id, merged
 
 
-def _hash_mod_col(col, mod: int):
-    """Vectorized deterministic ``hash(key) % mod`` over an Arrow string
-    column (pandas C siphash — same kernel as dedup_triples below; a per-row
-    Python crc32 here was the #2 profile cost since add_part runs on every
-    extracted doc in every plan)."""
-    import pandas as pd
-
-    series = pd.Series(col.to_pandas() if hasattr(col, "to_pandas") else col)
-    return (
-        pd.util.hash_pandas_object(series, index=False).to_numpy() % mod
-    ).astype("int32")
-
-
 def _make_add_part(num_partitions: int, n_salts: int | None):
-    """Stateless batch fn adding the hash-partition id over (canon_key[, salt])."""
-    import pandas as pd
+    """Stateless batch fn adding the hash-partition id over (canon_key[, salt])
+    — the tag step of the exchange; the salt is itself a hash partition of
+    ``doc_id`` into ``n_salts`` buckets."""
 
     def add_part(batch: pa.Table) -> pa.Table:
-        keys = pd.Series(batch.column("canon_key").to_pandas())
+        keys = ["canon_key"]
         if n_salts:
-            salts = _hash_mod_col(batch.column("doc_id"), n_salts)
-            parts = _hash_mod_col(
-                keys + "#" + pd.Series(salts).astype(str), num_partitions
-            )
+            salts = hash_partition(batch, "doc_id", n_salts)
             batch = batch.append_column("salt", pa.array(salts, pa.int32()))
-        else:
-            parts = _hash_mod_col(batch.column("canon_key"), num_partitions)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
+            keys.append("salt")
+        parts = hash_partition(batch, keys, num_partitions)
+        return batch.append_column(PART, pa.array(parts, pa.int32()))
 
     return add_part
 
@@ -165,7 +157,7 @@ def _payload_codec() -> pa.Codec:
 
 
 _PACKED_FIXED = [
-    ("part", pa.int32()),
+    (PART, pa.int32()),
     ("packed_blob", pa.binary()),
     ("packed_lens", pa.list_(pa.int32())),
     ("doc_id", pa.list_(pa.string())),
@@ -188,7 +180,7 @@ def _packed_schema(has_links: bool, has_salt: bool) -> pa.Schema:
 def _pack_compress(batch: pa.Table) -> pa.Table:
     """Pack a part-keyed doc batch into one compressed super-row per
     destination partition (see module comment above) — the map side of every
-    canonicalize exchange.  Requires the ``part`` column; no-op on batches
+    canonicalize exchange.  Requires the ``__part`` column; no-op on batches
     that lack it.
 
     Fully vectorized: one Arrow ``take`` gathers every column into
@@ -198,7 +190,7 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
     (Arrow string offsets ARE the byte offsets) — no per-row Python gather
     anywhere; only the zstd call itself runs once per (batch × part)."""
     names = batch.schema.names
-    if "doc_json" not in names or "part" not in names:
+    if "doc_json" not in names or PART not in names:
         return batch
     has_links = "n_links_added" in names
     has_salt = "salt" in names
@@ -208,7 +200,7 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
 
     import numpy as np
 
-    parts = batch.column("part").to_numpy(zero_copy_only=False)
+    parts = batch.column(PART).to_numpy(zero_copy_only=False)
     order = np.argsort(parts, kind="stable")
     sorted_tbl = batch.take(pa.array(order, pa.int64()))
     parts_sorted = parts[order]
@@ -240,7 +232,7 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
         return pa.ListArray.from_arrays(off_arr, values)
 
     columns = {
-        "part": pa.array(part_vals, pa.int32()),
+        PART: pa.array(part_vals, pa.int32()),
         "packed_blob": pa.array(blobs, pa.binary()),
         "packed_lens": runs(pa.array(row_lens, pa.int32())),
         "doc_id": runs(sorted_tbl.column("doc_id")),
@@ -260,29 +252,20 @@ def _pack_compress(batch: pa.Table) -> pa.Table:
 
 def _unpack_rows(batch: pa.Table) -> pa.Table:
     """Inverse of :func:`_pack_compress` — back to one plain row per doc
-    (part/salt columns retained).  No-op on plain batches.
+    (salt column retained; the partition id is not restored, the reducer
+    never reads it).  No-op on plain batches.
 
     Metadata columns restore ZERO-COPY via Arrow list-flatten; only the
     doc_json strings are rebuilt (decompress one blob per super-row, slice
     by offsets)."""
     if "packed_blob" not in batch.schema.names:
         return batch
-    import numpy as np
-    import pyarrow.compute as pc
-
     has_links = "n_links_added" in batch.schema.names
     has_salt = "salt" in batch.schema.names
 
     def flat(name: str):
         return pc.list_flatten(batch.column(name))
 
-    lens = pc.list_value_length(batch.column("doc_id")).to_numpy(
-        zero_copy_only=False
-    )
-    part = pa.array(
-        np.repeat(batch.column("part").to_numpy(zero_copy_only=False), lens),
-        pa.int32(),
-    )
     texts: list[str] = []
     blobs = batch.column("packed_blob").to_pylist()
     lens_lists = batch.column("packed_lens").to_pylist()
@@ -301,12 +284,8 @@ def _unpack_rows(batch: pa.Table) -> pa.Table:
         pa.array(texts, pa.string()),
         flat("gnd_ids"),
         flat("error"),
-        part,
     ]
-    names = [
-        "doc_id", "entity_class", "canon_key", "doc_json", "gnd_ids",
-        "error", "part",
-    ]
+    names = ["doc_id", "entity_class", "canon_key", "doc_json", "gnd_ids", "error"]
     if has_salt:
         arrays.append(flat("salt").cast(pa.int32()))
         names.append("salt")
@@ -333,7 +312,8 @@ def _merge_partition(batch: pa.Table) -> pa.Table:
     if len(set(keys)) == len(keys):
         # fast path: every key unique — pass through (normalizing the link
         # stage's int32 n_links_added so block schemas stay consistent)
-        batch = batch.drop_columns([c for c in ("part", "salt") if c in names])
+        if "salt" in names:
+            batch = batch.drop_columns(["salt"])
         if "n_links_added" in batch.schema.names:
             i = batch.schema.get_field_index("n_links_added")
             if batch.schema.field(i).type != pa.int64():
@@ -408,7 +388,7 @@ def _partition_merge(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return keyed.groupby("part").map_groups(_merge_partition, batch_format="pyarrow")
+    return reduce_partitions(keyed, _merge_partition, batch_format="pyarrow")
 
 
 @derive_width
@@ -471,8 +451,6 @@ def closure_keys(
             schema=_reps_schema,
         )
 
-    from esmarc_ray.ops.relational import partitioned_final
-
     reps = partitioned_final(
         keys_only.map_batches(partial_min, batch_format="pandas"),
         ["component"],
@@ -483,29 +461,16 @@ def closure_keys(
     # keys_only ⋈ reps on component — tag-union-partition join (Dataset.join
     # crashes on hash partitions that receive no left-side blocks in this Ray
     # version, so the repo's own partitioned-join pattern is used instead)
-    def tag_keys(batch) -> "pd.DataFrame":
-        df = batch.to_pandas() if isinstance(batch, pa.Table) else batch
-        return pd.DataFrame(
-            {
-                "component": df["component"], "payload": df["node"], "side": "k",
-                "part": (
-                    pd.util.hash_pandas_object(df["component"], index=False)
-                    .to_numpy() % num_partitions
-                ).astype("int32"),
-            }
-        )
+    def tag(side: str, payload: str):
+        def fn(df: "pd.DataFrame") -> "pd.DataFrame":
+            return pd.DataFrame(
+                {
+                    "component": df["component"], "payload": df[payload], "side": side,
+                    PART: hash_partition(df, "component", num_partitions),
+                }
+            )
 
-    def tag_reps(batch) -> "pd.DataFrame":
-        df = batch.to_pandas() if isinstance(batch, pa.Table) else batch
-        return pd.DataFrame(
-            {
-                "component": df["component"], "payload": df["canon_root"], "side": "r",
-                "part": (
-                    pd.util.hash_pandas_object(df["component"], index=False)
-                    .to_numpy() % num_partitions
-                ).astype("int32"),
-            }
-        )
+        return fn
 
     def join_partition(part: "pd.DataFrame") -> "pd.DataFrame":
         keys = part[part["side"] == "k"][["component", "payload"]].rename(
@@ -521,33 +486,39 @@ def closure_keys(
         merged = keys.merge(rep, on="component", how="inner")
         return merged[["canon_key", "canon_root"]]
 
-    tagged = keys_only.map_batches(tag_keys, batch_format="pandas").union(
-        reps.map_batches(tag_reps, batch_format="pandas")
+    tagged = keys_only.map_batches(tag("k", "node"), batch_format="pandas").union(
+        reps.map_batches(tag("r", "canon_root"), batch_format="pandas")
     )
-    return tagged.groupby("part").map_groups(join_partition, batch_format="pandas")
+    return reduce_partitions(tagged, join_partition)
 
 
-class _KeyRewriter:
-    """Actor-pool stage: rewrite canon_key through the broadcast closure map.
+# the alias map this worker process resolved last: (map object id, dict) —
+# at most one entry, replaced when a later rewrite broadcasts another map.
+# Keyed by the ref's id, not the ref, so an idle worker does not keep the
+# map pinned in the object store (same pattern as stages/link.py).
+_CACHED_ALIASES: tuple[bytes, dict] | None = None
+
+
+def _rewrite_batch(batch: pa.Table, *, mapping_ref: ray.ObjectRef) -> pa.Table:
+    """Task-pool UDF: rewrite canon_key through the broadcast closure map.
 
     The map holds only ALIASED keys (canon_root != canon_key), i.e. one entry
     per merged-away entity key — broadcast once via ``ray.put`` and resolved
-    once per actor in ``__init__``.  When the alias table outgrows
+    once per worker process.  When the alias table outgrows
     ``broadcast_limit`` rows, :func:`_rewrite_keys` switches to the fully
     distributed co-partitioned rewrite instead."""
-
-    def __init__(self, mapping_ref):
-        self._map = ray.get(mapping_ref) if isinstance(mapping_ref, ray.ObjectRef) else mapping_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mapping = self._map
-        keys = batch.column("canon_key").to_pylist()
-        rewritten = [mapping.get(k, k) for k in keys]
-        return batch.set_column(
-            batch.schema.get_field_index("canon_key"),
-            "canon_key",
-            pa.array(rewritten, pa.string()),
-        )
+    global _CACHED_ALIASES
+    key = mapping_ref.binary()
+    if _CACHED_ALIASES is None or _CACHED_ALIASES[0] != key:
+        _CACHED_ALIASES = None  # drop the old map before resolving the new one
+        _CACHED_ALIASES = (key, ray.get(mapping_ref))
+    mapping = _CACHED_ALIASES[1]
+    rewritten = [mapping.get(k, k) for k in batch.column("canon_key").to_pylist()]
+    return batch.set_column(
+        batch.schema.get_field_index("canon_key"),
+        "canon_key",
+        pa.array(rewritten, pa.string()),
+    )
 
 
 def _rewrite_keys_distributed(
@@ -566,8 +537,8 @@ def _rewrite_keys_distributed(
         batch = batch.append_column("canon_root", pa.nulls(n, pa.string()))
         batch = batch.append_column("__side", pa.array(["d"] * n, pa.string()))
         return batch.append_column(
-            "part",
-            pa.array(_hash_mod_col(batch.column("canon_key"), num_partitions), pa.int32()),
+            PART,
+            pa.array(hash_partition(batch, "canon_key", num_partitions), pa.int32()),
         )
 
     def tag_map(batch: pa.Table) -> pa.Table:
@@ -579,8 +550,8 @@ def _rewrite_keys_distributed(
             )
         cols["canon_root"] = batch.column("canon_root")
         cols["__side"] = pa.array(["m"] * n, pa.string())
-        cols["part"] = pa.array(
-            _hash_mod_col(batch.column("canon_key"), num_partitions), pa.int32()
+        cols[PART] = pa.array(
+            hash_partition(batch, "canon_key", num_partitions), pa.int32()
         )
         return pa.Table.from_pydict(cols)
 
@@ -598,12 +569,12 @@ def _rewrite_keys_distributed(
             part.schema.get_field_index("canon_key"), "canon_key",
             pa.array(rewritten, pa.string()),
         )
-        return part.drop_columns(["canon_root", "__side", "part"])
+        return part.drop_columns(["canon_root", "__side"])
 
     tagged = docs.map_batches(
         tag_docs, batch_format="pyarrow", zero_copy_batch=True
     ).union(mapping.map_batches(tag_map, batch_format="pyarrow"))
-    return tagged.groupby("part").map_groups(rewrite, batch_format="pyarrow")
+    return reduce_partitions(tagged, rewrite, batch_format="pyarrow")
 
 
 def _rewrite_keys(docs: ray.data.Dataset, mapping: ray.data.Dataset,
@@ -613,7 +584,7 @@ def _rewrite_keys(docs: ray.data.Dataset, mapping: ray.data.Dataset,
 
     Hybrid plan: the alias table (one row per merged-away entity key) is
     usually tiny, so up to ``broadcast_limit`` rows it broadcasts via
-    ``ray.put`` and the rewrite is a shuffle-free actor-pool map; past the
+    ``ray.put`` and the rewrite is a shuffle-free task map; past the
     limit the rewrite runs as a co-partitioned distributed join
     (:func:`_rewrite_keys_distributed`) and nothing materializes driver-side.
     """
@@ -624,11 +595,10 @@ def _rewrite_keys(docs: ray.data.Dataset, mapping: ray.data.Dataset,
     aliases = mapping_df[mapping_df["canon_key"] != mapping_df["canon_root"]]
     alias_ref = ray.put(dict(zip(aliases["canon_key"], aliases["canon_root"])))
     return docs.map_batches(
-        _KeyRewriter,
-        fn_constructor_args=(alias_ref,),
+        _rewrite_batch,
+        fn_kwargs={"mapping_ref": alias_ref},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=(1, 8),
     )
 
 
@@ -686,35 +656,3 @@ def canonicalize(
         partial = _partition_merge(live, num_partitions=num_partitions, n_salts=n_salts)
         return _partition_merge(partial, num_partitions=num_partitions, n_salts=None)
     return _partition_merge(live, num_partitions=num_partitions, n_salts=None)
-
-
-@derive_width
-def dedup_triples(
-    triples: ray.data.Dataset, *, num_partitions: int | None = None
-) -> ray.data.Dataset:
-    """Exact (subj, pred, obj) dedup — hash-partitioned; deterministic winner
-    (smallest doc_id) per key, one reducer call per partition."""
-    import pandas as pd
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch["subj"] + "\x1f" + batch["pred"] + "\x1f" + batch["obj"]
-        # vectorized (pandas C siphash): a per-row crc32 .map here runs a
-        # Python loop over every emitted triple — the hottest key count in
-        # the engine (~23 triples/doc)
-        batch["part"] = (
-            pd.util.hash_pandas_object(key, index=False).to_numpy() % num_partitions
-        ).astype("int32")
-        return batch
-
-    def drop_dups(part: pd.DataFrame) -> pd.DataFrame:
-        return (
-            part.sort_values(["subj", "pred", "obj", "doc_id"])
-            .drop_duplicates(["subj", "pred", "obj"])
-            .drop(columns=["part"])
-        )
-
-    return (
-        triples.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(drop_dups, batch_format="pandas")
-    )

@@ -38,6 +38,7 @@ import ray.data
 from ray.data import Datasink
 
 from esmarc_ray.io import HAVE_LANCE, PARQUET_COMPRESSION, write_table
+from esmarc_ray.ops.relational import hash_partition
 
 
 def _xor_crc(batch: pa.Table) -> int:
@@ -302,8 +303,6 @@ def materialize_buckets(
     """
     import time
 
-    import pandas as pd
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -328,11 +327,7 @@ def materialize_buckets(
         return status
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        subj = batch.column("subj").to_pandas().astype(str)
-        b = (
-            pd.util.hash_pandas_object(subj, index=False).to_numpy()
-            % num_buckets
-        ).astype("int32")
+        b = hash_partition(batch, "subj", num_buckets)
         return batch.append_column("bucket", pa.array(b, pa.int32()))
 
     keyed = triples.map_batches(

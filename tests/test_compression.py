@@ -36,7 +36,7 @@ def _doc_batch(with_extras: bool) -> pa.Table:
         "doc_json": pa.array([r[2] for r in _ROWS], pa.string()),
         "gnd_ids": pa.array([[f"g{i}"] * (i % 3) for i in range(n)], pa.list_(pa.string())),
         "error": pa.array([None if i % 2 else f"e{i}" for i in range(n)], pa.string()),
-        "part": pa.array([r[1] for r in _ROWS], pa.int32()),
+        "__part": pa.array([r[1] for r in _ROWS], pa.int32()),
     }
     if with_extras:
         columns["salt"] = pa.array([i % 4 for i in range(n)], pa.int32())
@@ -48,12 +48,12 @@ def _doc_batch(with_extras: bool) -> pa.Table:
 def test_exchange_pack_unpack_round_trip(with_extras):
     batch = _doc_batch(with_extras)
     packed = _pack_compress(batch)
-    assert packed.column("part").to_pylist() == [0, 1, 2]
+    assert packed.column("__part").to_pylist() == [0, 1, 2]
     assert packed.column("packed_lens").to_pylist()[2] == [0, 0]
 
     unpacked = _unpack_rows(packed)
-    by_part = np.argsort(batch.column("part").to_numpy(), kind="stable")
-    expected = batch.take(pa.array(by_part))
+    by_part = np.argsort(batch.column("__part").to_numpy(), kind="stable")
+    expected = batch.take(pa.array(by_part)).drop_columns(["__part"])
     assert unpacked.schema.names == expected.schema.names
     assert unpacked.to_pylist() == expected.to_pylist()
 

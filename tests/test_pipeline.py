@@ -203,6 +203,38 @@ def test_resume_over_snappy_docs_checkpoint(pinned_run, tmp_path):
     assert got == PINNED_MANIFEST
 
 
+def _docs_rows(docs_dir) -> int:
+    import pyarrow.parquet as pq
+
+    return sum(
+        pq.ParquetFile(p).metadata.num_rows for p in docs_dir.glob("shard=*/*.parquet")
+    )
+
+
+def test_resume_rebuilds_partial_docs_shard_without_orphans(pinned_run, tmp_path):
+    """A phase-1 shard that crashed after writing a file but before its
+    ``_SUCCESS`` marker is rebuilt on resume from an empty directory: the
+    orphan file must not survive next to the rebuilt copy, where phase 2
+    would read its docs twice."""
+    run_dir, tables, _ = pinned_run
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out" / "docs", out / "docs")  # no triples/
+    clean_rows = _docs_rows(out / "docs")
+    shard = out / "docs" / "shard=00001"
+    completed = sorted(shard.glob("*.parquet"))
+    assert completed
+    shutil.copy(completed[0], shard / "orphan-from-crashed-attempt.parquet")
+    (shard / "_SUCCESS").unlink()
+
+    resumed = run_kg_pipeline(
+        str(run_dir / "in"), str(out), link_tables=tables, num_shards=2
+    )
+    assert [s["status"] for s in resumed["shards"]] == ["skipped(resume)", "built"]
+    assert _docs_rows(out / "docs") == clean_rows
+    got = {key: resumed["triples"][key] for key in PINNED_MANIFEST}
+    assert got == PINNED_MANIFEST
+
+
 # Runs run_kg_pipeline with the DEFAULT link_concurrency in a fresh Ray
 # session of argv[3] CPUs and prints the manifest's row count and hash.
 _FRESH_SESSION_RUN = """

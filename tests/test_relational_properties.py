@@ -303,3 +303,115 @@ def test_range_window_matches_bruteforce(ray_session, rows):
         grp = df[df["u"] == row["u"]]
         want = grp[(grp["ts"] >= row["ts"] - span) & (grp["ts"] <= row["ts"])]["v"].sum()
         assert abs(row["s"] - round(want, 6)) < 1e-9
+
+
+# -- the hash exchange: width invariance --------------------------------------
+
+_MIXED_KEYS = {
+    "str": st.sampled_from(["a", "b", "None", "", "é", "a\x1fb"]),
+    "int": st.integers(min_value=-3, max_value=3),
+    "null": st.one_of(st.none(), st.sampled_from(["a", "nan", "None"])),
+}
+
+
+@st.composite
+def keyed_frames(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_MIXED_KEYS)), min_size=1, max_size=2))
+    keys = [f"k{i}" for i in range(len(kinds))]
+    n = draw(st.integers(min_value=1, max_value=30))
+    df = _frame(draw, n, {k: _MIXED_KEYS[kind] for k, kind in zip(keys, kinds)})
+    df["v"] = [draw(_VALS) for _ in range(n)]
+    return df, keys
+
+
+def _rows(frame: pd.DataFrame, cols: list[str]) -> list[tuple]:
+    return sorted(
+        tuple("<null>" if pd.isna(v) else repr(v) for v in row)
+        for row in frame[cols].itertuples(index=False)
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(keyed_frames())
+def test_partitioned_final_is_width_invariant(ray_session, case):
+    """Same result as one pandas groupby at every exchange width; 64 is
+    wider than any drawn key set, so some reducers receive no rows."""
+    df, keys = case
+
+    # defined here, not at module level: Ray workers cannot import this module
+    def group_counts(frame: pd.DataFrame) -> pd.DataFrame:
+        return (
+            frame.groupby(keys, dropna=False, sort=False)
+            .agg(n=("v", "size"), s=("v", "sum"))
+            .reset_index()
+        )
+
+    expected = _rows(group_counts(df), keys + ["n", "s"])
+    for width in (1, 3, 64):
+        got = relational.partitioned_final(
+            ray.data.from_pandas(df), keys, group_counts, width
+        ).to_pandas()
+        assert _rows(got, keys + ["n", "s"]) == expected, width
+
+
+def test_partitioned_final_pyarrow_batches(ray_session):
+    import pyarrow as pa
+
+    df = pd.DataFrame({"k": [f"key{i % 7}" for i in range(40)], "v": range(40)})
+
+    def count(part: pa.Table) -> pa.Table:
+        assert isinstance(part, pa.Table)
+        assert relational.PART not in part.schema.names
+        return part.group_by("k").aggregate([("v", "count"), ("v", "sum")])
+
+    expected = _rows(
+        df.groupby("k").agg(v_count=("v", "size"), v_sum=("v", "sum")).reset_index(),
+        ["k", "v_count", "v_sum"],
+    )
+    for width in (1, 64):
+        got = relational.partitioned_final(
+            ray.data.from_pandas(df), ["k"], count, width, batch_format="pyarrow"
+        ).to_pandas()
+        assert _rows(got, ["k", "v_count", "v_sum"]) == expected, width
+
+
+@settings(max_examples=10, deadline=None)
+@given(keyed_frames(), st.sampled_from([1, 3, 64]))
+def test_hash_partition_keeps_the_exchange_ids(case, width):
+    """The one partition hash: stringified keys joined by ``\\x1f``, pandas
+    siphash mod width — and the same ids from an Arrow copy of the frame."""
+    import pyarrow as pa
+
+    df, keys = case
+    joined = df[keys].astype(str).agg("\x1f".join, axis=1)
+    expected = pd.util.hash_pandas_object(joined, index=False).to_numpy() % width
+    got = relational.hash_partition(df, keys, width)
+    assert got.dtype == np.int32
+    assert got.tolist() == expected.tolist()
+    string_keys = df[keys].astype(str)
+    arrow_keys = pa.Table.from_pandas(string_keys)
+    assert (
+        relational.hash_partition(arrow_keys, keys, width).tolist()
+        == relational.hash_partition(string_keys, keys, width).tolist()
+    )
+
+
+@settings(max_examples=2, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=20
+    )
+)
+def test_connected_components_is_width_invariant(ray_session, edges):
+    from esmarc_ray.ops.graph import connected_components
+
+    ds = ray.data.from_pandas(pd.DataFrame(edges, columns=["u", "v"]))
+    narrow, wide = (
+        connected_components(ds, num_partitions=width)
+        .to_pandas()
+        .sort_values("node")
+        .reset_index(drop=True)
+        for width in (1, 64)
+    )
+    assert narrow.equals(wide)
+    assert set(narrow["node"]) == {str(n) for pair in edges for n in pair}
