@@ -89,6 +89,18 @@ def read_documents(
     return ray.data.read_parquet(path, columns=columns, **kwargs)
 
 
+def read_checkpoint(files: list[str]) -> ray.data.Dataset:
+    """Read back a parquet checkpoint the pipeline wrote itself: one read
+    task and one block per file (Ray still splits a file above
+    ``DataContext.target_max_block_size``).
+
+    The writer already sized those files, one per write task.  Ray's default
+    read split would cut them into blocks of at least 1 MiB, and every extra
+    block costs its own combiner, exchange, merge, sort and write tasks.
+    """
+    return ray.data.read_parquet(files, override_num_blocks=len(files))
+
+
 def write_table(ds: ray.data.Dataset, path: str, *, format: str = "parquet", **kwargs: Any) -> None:
     if format == "lance" and HAVE_LANCE:
         ds.write_lance(path, **kwargs)

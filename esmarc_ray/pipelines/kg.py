@@ -13,7 +13,12 @@ lineage"):
   completed shards;
 * the wide half (canonicalize → sort → materialize) streams over the
   intermediate docs tables (much smaller than the raw spans) and writes the
-  final triple table with its own manifest + marker.
+  final triple table with its own manifest + marker.  It reads the docs
+  (and, with ``jsonld=True``, the ``canonical/`` checkpoint) back with
+  :func:`esmarc_ray.io.read_checkpoint`: one block per file phase 1 wrote,
+  so the block count — and with it every later stage's task count — follows
+  the checkpoint's files, not Ray's 1-MiB default read split.  Phase 1's
+  span read keeps that split: it is each shard's extract parallelism.
 
 Everything between stages is streaming Dataset execution — no driver-side
 materialization of data, only of file lists and manifests.
@@ -29,7 +34,7 @@ import ray
 import ray.data
 
 from esmarc_ray.config import DEFAULT_CONFIG, EngineConfig
-from esmarc_ray.io import read_documents, write_table
+from esmarc_ray.io import read_checkpoint, read_documents, write_table
 from esmarc_ray.stages.canonicalize import canonicalize
 from esmarc_ray.stages.extract import docs_to_triples, extract_docs
 from esmarc_ray.stages.link import build_link_indexes, link_entities
@@ -119,7 +124,7 @@ def run_kg_pipeline(
 
     # ---- phase 2: canonicalize + materialize (wide, streaming) -------------
     doc_files = sorted(str(p) for p in docs_dir.glob("shard=*/*.parquet"))
-    docs_ds = ray.data.read_parquet(doc_files)
+    docs_ds = read_checkpoint(doc_files)
     canonical = canonicalize(docs_ds, precombine=True)
     jsonld_summary = None
     if jsonld:
@@ -129,7 +134,7 @@ def run_kg_pipeline(
         if canon_dir.exists():
             shutil.rmtree(canon_dir)
         write_table(canonical, str(canon_dir))
-        canonical = ray.data.read_parquet(str(canon_dir))
+        canonical = read_checkpoint(sorted(str(p) for p in canon_dir.glob("*.parquet")))
 
         from esmarc_ray.io import write_jsonld
 

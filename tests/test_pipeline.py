@@ -235,6 +235,45 @@ def test_resume_rebuilds_partial_docs_shard_without_orphans(pinned_run, tmp_path
     assert got == PINNED_MANIFEST
 
 
+def test_phase2_is_invariant_to_checkpoint_block_granularity(pinned_run, tmp_path):
+    """Phase 2 over the pinned docs checkpoint read four ways — one block per
+    file (the pipeline's read), Ray's default split, 16 blocks, and the whole
+    checkpoint as one file — gives the pinned manifest every time.  The
+    block count sets the batch-local pre-combine's merge tree, so this is
+    the plan-invariance claim for the checkpoint read.  (These files are
+    below Ray's 1-MiB minimum block size, so here the default split keeps
+    one block per file; the 16-block and single-file reads differ.)"""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from esmarc_ray.io import read_checkpoint
+    from esmarc_ray.stages.materialize import materialize_shard
+
+    run_dir, _, _ = pinned_run
+    files = sorted(str(p) for p in (run_dir / "out" / "docs").glob("shard=*/*.parquet"))
+    assert len(files) > 1
+    single = tmp_path / "all-docs.parquet"
+    pq.write_table(pa.concat_tables([pq.read_table(f) for f in files]), single)
+    reads = {
+        "one_block_per_file": read_checkpoint(files),
+        "ray_default_split": ray.data.read_parquet(files),
+        "16_blocks": ray.data.read_parquet(files, override_num_blocks=16),
+        "single_file": read_checkpoint([str(single)]),
+    }
+    assert reads["one_block_per_file"].materialize().num_blocks() == len(files)
+    assert reads["16_blocks"].materialize().num_blocks() == 16
+
+    for name, docs in reads.items():
+        triples = docs_to_triples(canonicalize(docs, precombine=True))
+        manifest = materialize_shard(triples, tmp_path / name / "shard=00000")
+        got = {key: manifest[key] for key in ("row_count", "content_hash")}
+        assert got == {
+            "row_count": PINNED_MANIFEST["row_count"],
+            "content_hash": PINNED_MANIFEST["content_hash"],
+        }, name
+
+
 # Runs run_kg_pipeline with the DEFAULT link_concurrency in a fresh Ray
 # session of argv[3] CPUs and prints the manifest's row count and hash.
 _FRESH_SESSION_RUN = """
@@ -836,3 +875,42 @@ def test_materialize_shard_keeps_null_partition_rows(ray_session, tmp_path):
     assert any(null_dir.rglob("*.parquet"))
     back = ray.data.read_parquet(str(tmp_path / "shard=00000")).to_pandas()
     assert len(back) == 3 and set(back["subj"]) == {"a", "b", "c"}
+
+
+def test_materialize_shard_writes_each_class_sorted(ray_session, tmp_path):
+    """The sorted sink's contract: each ``entity_class=`` directory, its
+    files read in file-name order, is sorted by ``(subj, pred)`` — from a
+    shuffled input spread over 12 blocks."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from esmarc_ray.stages.materialize import materialize_shard
+
+    rng = np.random.default_rng(7)
+    n = 3000
+    frame = pd.DataFrame({
+        "entity_class": rng.choice(["persons", "resources", "works"], n),
+        # numeric ids of mixed width, so string order != numeric order
+        "subj": [f"https://example.org/{i}" for i in rng.integers(0, 700, n)],
+        "pred": rng.choice(["name", "about", "sameAs", "@type"], n),
+        "obj": [f"o{i}" for i in range(n)],
+    }).sample(frac=1.0, random_state=11)
+    triples = ray.data.from_pandas(np.array_split(frame, 12))
+    assert triples.num_blocks() == 12
+
+    shard = tmp_path / "shard=00000"
+    manifest = materialize_shard(triples, shard, sort=True)
+    assert manifest["row_count"] == n
+    class_dirs = sorted(shard.glob("entity_class=*"))
+    assert {d.name for d in class_dirs} == {
+        "entity_class=persons", "entity_class=resources", "entity_class=works"
+    }
+    for class_dir in class_dirs:
+        files = sorted(class_dir.glob("*.parquet"), key=lambda p: p.name)
+        table = pa.concat_tables([pq.read_table(f) for f in files])
+        keys = list(zip(table.column("subj").to_pylist(), table.column("pred").to_pylist()))
+        assert len(keys) == manifest["rows_per_class"][class_dir.name.split("=", 1)[1]]
+        assert keys == sorted(keys), class_dir.name
