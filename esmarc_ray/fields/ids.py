@@ -99,6 +99,15 @@ def _listify_dedup(node: dict, keys: tuple[str, ...]) -> None:
                 node[key] = _stable_dedup(value)
 
 
+# linking-entry fields whose $z holds related ISBNs, with their indicators
+_RELATED_ISBN_FIELDS = (
+    ("770", "*"), ("772", "*"), ("773", "*"), ("775", "*"),
+    ("776", ["08", "1_"]), ("780", "*"), ("785", "*"), ("787", "00"),
+)
+# fields whose $x holds related ISSNs
+_RELATED_ISSN_TAGS = ["770", "772", "773", "775", "776", "780", "785", "787", "800", "810", "811", "830"]
+
+
 def identified_by(record: dict, specs, entity: str, config=DEFAULT_CONFIG):
     """All typed identifier nodes of a resource (ISBN/ISSN/…); id.py:93-299."""
     data: list[dict] = []
@@ -109,10 +118,7 @@ def identified_by(record: dict, specs, entity: str, config=DEFAULT_CONFIG):
             isbn["validValues"] = merge_value(isbn.get("validValues"), sset.get("a"))
         if sset.get("z"):
             isbn["invalidValues"] = merge_value(isbn.get("invalidValues"), sset.get("z"))
-    for tag, indicator in {
-        "770": "*", "772": "*", "773": "*", "775": "*",
-        "776": ["08", "1_"], "780": "*", "785": "*", "787": "00",
-    }.items():
+    for tag, indicator in _RELATED_ISBN_FIELDS:
         for sset in subfield_sets(record, tag, indicator):
             if sset.get("z"):
                 isbn["relatedValues"] = merge_value(isbn.get("relatedValues"), sset.get("z"))
@@ -126,8 +132,7 @@ def identified_by(record: dict, specs, entity: str, config=DEFAULT_CONFIG):
             issn["validValues"] = merge_value(issn.get("validValues"), sset.get("a"))
         if sset.get("y"):
             issn["invalidValues"] = merge_value(issn.get("invalidValues"), sset.get("y"))
-    related_tags = ["770", "772", "773", "775", "776", "780", "785", "787", "800", "810", "811", "830"]
-    for sset in subfield_sets(record, related_tags, "*"):
+    for sset in subfield_sets(record, _RELATED_ISSN_TAGS, "*"):
         if "x" in sset:
             issn["relatedValues"] = merge_value(issn.get("relatedValues"), sset.get("x"))
     _listify_dedup(issn, ("validValues", "relatedValues", "invalidValues"))
@@ -199,9 +204,10 @@ def identified_by(record: dict, specs, entity: str, config=DEFAULT_CONFIG):
             if nbn not in data:
                 data.append(nbn)
 
+    vd_ssets = list(subfield_sets(record, "024", "7_"))  # read, never edited, below
     for vd_year in ("16", "17", "18"):
         vd: dict = {"@type": f"VD-{vd_year}", "validValues": None}
-        for sset in subfield_sets(record, "024", "7_"):
+        for sset in vd_ssets:
             if vd_year in ("17", "18"):
                 if sset.get("z") and sset.get("2") == f"vd{vd_year}":
                     vd["invalidValues"] = sset["z"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from esmarc_ray.config import DEFAULT_CONFIG
 from esmarc_ray.fields.ids import authority_uri, mint_uri
+from esmarc_ray.fields.titles import title_object
 from esmarc_ray.kernel import marc_get, subfield_sets
 from esmarc_ray.lookups import RELATION_BY_CODE
 from esmarc_ray.values import collapse, merge_value
@@ -71,8 +72,6 @@ def is_part_of(record: dict, tags, entity: str, config=DEFAULT_CONFIG):
 
     The ind-18 branch re-runs the full title assembly on the record.
     """
-    from esmarc_ray.fields.titles import title_object
-
     out = []
     for indicator in ("08", "18"):
         for sset in subfield_sets(record, "773", indicator):

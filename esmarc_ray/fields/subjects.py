@@ -7,9 +7,8 @@ of the KG pipeline; goldens exist at reference tests/out/mentions/*.
 
 from __future__ import annotations
 
-import copy
-
 from esmarc_ray.config import DEFAULT_CONFIG
+from esmarc_ray.fields.ids import authority_uri, mint_uri
 from esmarc_ray.kernel import marc_get, subfield_sets
 from esmarc_ray.lookups import (
     CLASSIFICATION_SCHEMES,
@@ -18,7 +17,7 @@ from esmarc_ray.lookups import (
     MENTION_TYPE_BY_CODE,
     SCHEMA_TYPE_BY_CODE,
 )
-from esmarc_ray.values import collapse, merge_value
+from esmarc_ray.values import collapse, copy_tree, merge_value
 
 # tag -> default linked-entity class for authority nodes (subfields.py:50-62)
 _AUTHORITY_TAG_CLASS = {
@@ -38,8 +37,6 @@ _AUTHORITY_TAG_CLASS = {
 
 def authority_node(record: dict, tag: str, entity: str, config=DEFAULT_CONFIG):
     """Generic authority-link node builder (reference get_subfield, subfields.py:46-125)."""
-    from esmarc_ray.fields.ids import authority_uri, mint_uri
-
     entity_class = _AUTHORITY_TAG_CLASS.get(tag)
     data: list = []
     for sset in subfield_sets(record, tag, "*"):
@@ -129,7 +126,7 @@ def authority_node_if_4(record: dict, spec: str, entity: str, config=DEFAULT_CON
             # only record[tag] is read (via subfield_sets) and mutated below,
             # so deep-copy just that field instead of the whole record
             pruned = dict(record)
-            pruned[tag] = copy.deepcopy(record[tag])
+            pruned[tag] = copy_tree(record[tag])
             for i, occurrence in enumerate(pruned[tag]):
                 # the reference assumes indicator "__" here; any other
                 # indicator raises (record drop) — subfields.py:20-23
@@ -176,8 +173,6 @@ def _ddc_node(value):
 
 
 def _rvk_node(occurrence):
-    from esmarc_ray.fields.ids import authority_uri
-
     if "rv" not in occurrence:
         return None
     sset: dict = {}
@@ -235,9 +230,9 @@ def classification_nodes(record: dict, specs, entity: str, config=DEFAULT_CONFIG
             for item in values:
                 entry = None
                 if spec in CLASSIFICATION_SCHEMES:
-                    entry = copy.deepcopy(CLASSIFICATION_SCHEMES[spec])
+                    entry = copy_tree(CLASSIFICATION_SCHEMES[spec])
                 elif sset.get("2") in CLASSIFICATION_SCHEMES:
-                    entry = copy.deepcopy(CLASSIFICATION_SCHEMES[sset["2"]])
+                    entry = copy_tree(CLASSIFICATION_SCHEMES[sset["2"]])
                 if entry:
                     entry["CategoryCodes"][0]["codeValue"] = item
                     if entry["CategoryCodes"][0].get("@id"):
@@ -292,7 +287,7 @@ def mention_nodes(record: dict, tags, entity: str, config=DEFAULT_CONFIG):
                     for item in sset["a"]:
                         node["preferredName"] = item
                         node["name"] = item
-                        entry = copy.deepcopy(node)
+                        entry = copy_tree(node)
                         if entry not in data:
                             data.append(entry)
                     continue

@@ -18,7 +18,7 @@ vectorized without changing observable output (SURVEY.md §7.3).
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from esmarc_ray.lookups import ENTITY_BY_CODE
 from esmarc_ray.values import adjacent_uniq, collapse, merge_value
@@ -77,18 +77,47 @@ def marc_get(record: dict, spec: str | list[str], entity: str | None = None) -> 
     Results from multiple specs merge with dedup; list results get an
     adjacent-dedup pass (order-sensitive, reference marc.py:78-79).
     """
+    key = spec if isinstance(spec, str) else tuple(spec)
+    get = _GETTERS.get(key)
+    if get is None:
+        get = _GETTERS[key] = compile_get(spec)
+    return get(record)
+
+
+# spec (a list spec as a tuple) -> its compiled accessor
+_GETTERS: dict[Any, Callable[[dict], Any]] = {}
+
+
+def compile_get(spec: str | list[str]) -> Callable[[dict], Any]:
+    """``marc_get(record, spec)`` as a one-argument accessor, with the spec
+    parsed once."""
+    if isinstance(spec, str) and "+" in spec:
+        return lambda record: _joined_get(record, spec)
     if isinstance(spec, str):
-        # single-spec fast path (84 calls per record; most tags absent)
-        if "+" in spec:
-            return _joined_get(record, spec)
-        if spec[:3] not in record:
-            return None
-        acc: Any = collapse(list(marc_values(record, spec)))
-    else:
-        acc = []
-        for one in spec:
-            if one[:3] in record:
+        tag = spec[:3]
+
+        def get(record: dict) -> Any:
+            if tag not in record:
+                return None
+            values = list(marc_values(record, spec))
+            if len(values) == 1 and type(values[0]) is str:
+                return values[0] or None
+            return _finish_get(collapse(values))
+
+        return get
+    parts = [(one[:3], one) for one in spec]
+
+    def get_merged(record: dict) -> Any:
+        acc: Any = []
+        for tag, one in parts:
+            if tag in record:
                 acc = merge_value(acc, collapse(list(marc_values(record, one))))
+        return _finish_get(acc)
+
+    return get_merged
+
+
+def _finish_get(acc: Any) -> Any:
     if acc:
         if isinstance(acc, list):
             acc = adjacent_uniq(acc)
@@ -111,15 +140,24 @@ def _indicator_matches(pattern: str, indicator: str) -> bool:
 
 def subfield_sets(
     record: dict, tags: str | list[str], indicators: str | list[str] = "*"
-) -> Iterator[dict[str, Any]]:
+) -> Iterable[dict[str, Any]]:
     """Group each matching field occurrence's subfields into {code: scalar-or-list}.
 
     One dict per (occurrence, matching indicator pattern) — a single
     occurrence CAN be yielded more than once when several patterns match,
     exactly like the reference's nested pattern loop (marc.py:101-114).
     """
-    tag_list = [tags] if isinstance(tags, str) else tags
+    if isinstance(tags, str):
+        if len(tags) == 3 and tags not in record:
+            return ()  # the hot case: most tags a row reads are absent
+        tags = [tags]
     ind_list = [indicators] if isinstance(indicators, str) else list(indicators)
+    return _subfield_sets(record, tags, ind_list)
+
+
+def _subfield_sets(
+    record: dict, tag_list: list[str], ind_list: list[str]
+) -> Iterator[dict[str, Any]]:
     for tag in tag_list:
         if len(tag) == 3:
             # inlined marc_get for a bare tag (the hot case): fetch → adjacent

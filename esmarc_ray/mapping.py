@@ -17,12 +17,12 @@ which neutralizes the reference's dynamic output keys.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from esmarc_ray.config import DEFAULT_CONFIG, EngineConfig
 from esmarc_ray.fields import dates, ids, misc, names, notes, publishing, relations, subjects, titles
-from esmarc_ray.kernel import classify_entity, marc_get
-from esmarc_ray.values import collapse, merge_value
+from esmarc_ray.kernel import classify_entity, compile_get, marc_get
+from esmarc_ray.values import collapse, merge_value, to_json
 
 CONTEXT_URL = "https://raw.githubusercontent.com/slub/esmarc/master/conf/context.jsonld"
 
@@ -192,117 +192,44 @@ ENTITY_MAPPINGS: dict[str, dict] = {
 }
 
 
-# -- per-row evaluation (reference process_field, processing.py:7-25) --------
+# -- compiled per-entity plans ------------------------------------------------
+#
+# Each entity's rows compile once per process into a plan: per row its
+# target, the "related" flag, a tag gate and a call ``fn(record, arg, entity,
+# config)`` giving the row's value.  What the reference re-derives per record
+# and per row — the row key split, the spec's shape dispatch (reference
+# process_field, processing.py:7-25), the marc_get spec parse, the arity
+# rule's substring scan over the row keys (helperfunc.py:36-48) — is
+# resolved here.  tests/mapping_oracle.py keeps the generic interpreter, and
+# tests/test_mapping_compiled.py holds the plan to it.
 
 
-def evaluate_row(record: dict, spec: Any, entity: str, config: EngineConfig) -> Any:
-    results = []
-    if isinstance(spec, dict):
-        for function, parameter in spec.items():
-            if function is marc_get:
-                results.append(marc_get(record, parameter, entity))
-            else:
-                results.append(function(record, parameter, entity, config))
-    elif isinstance(spec, str):
-        return spec
-    elif isinstance(spec, list):
-        for element in spec:
-            results.append(collapse(evaluate_row(record, element, entity, config)))
-    elif callable(spec):
-        return collapse(spec(record, entity))
-    if results:
-        return collapse(results)
-    return None
+def _get_row(record: dict, get: Callable[[dict], Any], entity: str, config: EngineConfig) -> Any:
+    return get(record)
 
 
-# -- sanitize passes (reference helperfunc.py:36-86) -------------------------
+def _constant_row(record: dict, value: str, entity: str, config: EngineConfig) -> str:
+    return value
 
 
-def remove_empty(obj: Any) -> Any:
-    """Drop falsy values from dicts in place, recursively (helperfunc.py:64-86).
-
-    Lists keep their structure (the reference's list branch is a structural
-    no-op); the recursion still cleans dicts nested inside lists.
-    """
-    if isinstance(obj, dict):
-        dead = [k for k, v in obj.items() if not v]
-        for k, v in obj.items():
-            if v:
-                remove_empty(v)
-        for k in dead:
-            obj.pop(k)
-        return obj
-    if isinstance(obj, list):
-        for element in obj:
-            if element:
-                remove_empty(element)
-        return obj
-    return obj
+def _list_row(record: dict, parts: list, entity: str, config: EngineConfig) -> Any:
+    return collapse([collapse(fn(record, arg, entity, config)) for fn, arg in parts])
 
 
-def remove_none(obj: Any) -> Any:
-    """Rebuild dropping None keys/values/elements recursively (helperfunc.py:51-61)."""
-    if isinstance(obj, (list, tuple, set)):
-        return type(obj)(remove_none(x) for x in obj if x is not None)
-    if isinstance(obj, dict):
-        return type(obj)(
-            (remove_none(k), remove_none(v))
-            for k, v in obj.items()
-            if k is not None and v is not None
-        )
-    return obj
-
-
-def sanitize(obj: Any) -> Any:
-    """Fused ``remove_none(remove_empty(obj))`` in a single traversal (the
-    hot-path form; the two-pass functions remain the semantic reference).
-
-    Equivalences preserved: dict entries with falsy values or None keys are
-    dropped BEFORE recursion (a child that becomes empty during cleaning is
-    kept, matching remove_empty); lists keep falsy non-None elements; tuples
-    and sets see only remove_none semantics (remove_empty's dict/list-only
-    recursion never reaches their children).
-    """
-    if isinstance(obj, dict):
-        return {k: sanitize(v) if v else v for k, v in obj.items() if k is not None and v}
-    if isinstance(obj, list):
-        return [sanitize(x) if x else x for x in obj if x is not None]
-    if isinstance(obj, (tuple, set)):
-        return remove_none(obj)
-    return obj
-
-
-# (entity, doc key) -> ordered arity actions from every substring-matching
-# mapping row.  The row set is static, so the quadratic substring scan of the
-# reference (helperfunc.py:36-48) runs once per distinct key, not per record.
-_ARITY_PLAN: dict[tuple[str, str], tuple[str, ...]] = {}
-
-
-def _arity_actions(entity: str, key: str) -> tuple[str, ...]:
-    plan = _ARITY_PLAN.get((entity, key))
-    if plan is None:
-        actions = []
-        for row_key in ENTITY_MAPPINGS[entity]:
-            if key in row_key:
-                if "single" in row_key:
-                    actions.append("single")
-                elif "multi" in row_key:
-                    actions.append("multi")
-        plan = _ARITY_PLAN[(entity, key)] = tuple(actions)
-    return plan
-
-
-def apply_arity(doc: dict, entity: str) -> dict:
-    """Enforce the declared single/multi arity via the reference's substring
-    match over mapping keys (helperfunc.py:36-48)."""
-    for key in list(doc):
-        for action in _arity_actions(entity, key):
-            value = doc[key]
-            if action == "single":
-                doc[key] = collapse(value)
-            elif not isinstance(value, list):
-                doc[key] = [value]
-    return doc
+def _compile_spec(spec: Any, entity: str) -> tuple[Callable, Any]:
+    """One mapping-row spec → ``(fn, arg)``; the row's value is
+    ``collapse(fn(record, arg, entity, config))``, the reference's
+    ``process_field`` result."""
+    if isinstance(spec, str):
+        return _constant_row, spec
+    if isinstance(spec, dict) and len(spec) == 1:
+        ((function, parameter),) = spec.items()
+        if function is marc_get:
+            return _get_row, compile_get(parameter)
+        return function, parameter
+    if isinstance(spec, list) and spec:
+        return _list_row, [_compile_spec(element, entity) for element in spec]
+    raise ValueError(f"unsupported mapping spec for {entity}: {spec!r}")
 
 
 def source_tags(entities: list[str] | None = None) -> set[str]:
@@ -341,13 +268,13 @@ def source_tags(entities: list[str] | None = None) -> set[str]:
 # that reads tags beyond its parameter must be added here to opt out of the
 # absent-tag row skip.  Functions that emit a DEFAULT with no tag input (like
 # notes.language's "und" fallback) are caught automatically by the
-# empty-record probe in :func:`_entity_row_plan`.  The golden/parity suite
-# catches violations.
+# empty-record probe in :func:`_gate_for`.  The oracle test evaluates every
+# row ungated, so it catches violations.
 _GATE_EXEMPT: set = set()
 
 
-def _gate_tags(spec: Any) -> frozenset | None:
-    """Static tag set a mapping row can read, or None if not gateable.
+def _gate_tags(spec: Any) -> tuple | None:
+    """Static tags a mapping row can read, or None if not gateable.
 
     Gateable: every leaf parameter is a tag-shaped spec (3 leading digits) and
     no involved function is in ``_GATE_EXEMPT``.  String constants, bare
@@ -376,18 +303,13 @@ def _gate_tags(spec: Any) -> frozenset | None:
             sub = _gate_tags(element)
             if sub is None:
                 return None
-            tags |= sub
+            tags.update(sub)
     else:  # constant or bare callable
         return None
-    return frozenset(tags) if tags else None
+    return tuple(sorted(tags)) if tags else None
 
 
-# per-entity row plan: (target, spec, is_related, gate_tags) tuples — the
-# row_key split, the "related" substring test, and the tag gate are static
-_ROW_PLANS: dict[str, tuple] = {}
-
-
-def _gate_for(spec: Any, entity: str) -> frozenset | None:
+def _gate_for(spec: Any, fn: Callable, arg: Any, entity: str) -> tuple | None:
     gate = _gate_tags(spec)
     if gate is None:
         return None
@@ -396,29 +318,104 @@ def _gate_for(spec: Any, entity: str) -> frozenset | None:
     # exception here is conservative — ungated, so real records keep the
     # reference's error semantics
     try:
-        if collapse(evaluate_row({}, spec, entity, DEFAULT_CONFIG)):
+        if collapse(fn({}, arg, entity, DEFAULT_CONFIG)):
             return None
     except Exception:
         return None
     return gate
 
 
-def _entity_row_plan(entity: str) -> tuple:
-    plan = _ROW_PLANS.get(entity)
+def _arity_rule(entity: str, key: str) -> tuple[bool, ...]:
+    """The arity actions for one doc key, True = single, False = multi: one
+    per mapping row key that contains ``key`` (helperfunc.py:36-48)."""
+    actions = []
+    for row_key in ENTITY_MAPPINGS[entity]:
+        if key in row_key:
+            if "single" in row_key:
+                actions.append(True)
+            elif "multi" in row_key:
+                actions.append(False)
+    return tuple(actions)
+
+
+class _EntityPlan:
+    __slots__ = ("entity", "rows", "arity")
+
+    def __init__(self, entity: str):
+        self.entity = entity
+        rows = []
+        for row_key, spec in ENTITY_MAPPINGS[entity].items():
+            target = row_key.split(":")[1]
+            fn, arg = _compile_spec(spec, entity)
+            rows.append((target, "related" in target, _gate_for(spec, fn, arg, entity), fn, arg))
+        self.rows = tuple(rows)
+        # doc key -> arity actions; the row targets up front, dynamic keys
+        # (re-keyed relations, isBasedOn) on first sight
+        self.arity = {row[0]: _arity_rule(entity, row[0]) for row in rows}
+
+    def finish(self, doc: dict) -> dict:
+        """The reference's clean-up passes (drop falsy entries and None
+        elements, helperfunc.py:51-86) fused with the arity rule, in one pass
+        over the top-level keys."""
+        arity = self.arity
+        out = {}
+        for key, value in doc.items():
+            if key is None or not value:
+                continue
+            if type(value) is not str:
+                value = _clean(value)
+            actions = arity.get(key)
+            if actions is None:
+                actions = arity[key] = _arity_rule(self.entity, key)
+            for single in actions:
+                if single:
+                    value = collapse(value)
+                elif not isinstance(value, list):
+                    value = [value]
+            out[key] = value
+        return out
+
+
+def _clean(obj: Any) -> Any:
+    """Rebuild a doc value without falsy dict entries, None dict keys and
+    None list elements; lists keep their other falsy elements, and an entry
+    that only becomes empty while it is cleaned is kept.  Mapping functions
+    build their values from dicts, lists and scalars only."""
+    kind = type(obj)
+    if kind is dict:
+        out = {}
+        for k, v in obj.items():
+            if v and k is not None:
+                kind = type(v)
+                if kind is str:
+                    out[k] = v
+                elif kind is dict:  # one level inlined: most nodes nest dicts
+                    out[k] = {
+                        k2: v2 if type(v2) is str else _clean(v2)
+                        for k2, v2 in v.items()
+                        if v2 and k2 is not None
+                    }
+                else:
+                    out[k] = _clean(v)
+        return out
+    if kind is list:
+        return [x if type(x) is str or not x else _clean(x) for x in obj if x is not None]
+    return obj
+
+
+_PLANS: dict[str, _EntityPlan] = {}
+
+
+def _plan(entity: str) -> _EntityPlan:
+    plan = _PLANS.get(entity)
     if plan is None:
-        plan = _ROW_PLANS[entity] = tuple(
-            (
-                row_key.split(":")[1],
-                spec,
-                "related" in row_key.split(":")[1],
-                _gate_for(spec, entity),
-            )
-            for row_key, spec in ENTITY_MAPPINGS[entity].items()
-        )
+        plan = _PLANS[entity] = _EntityPlan(entity)
     return plan
 
 
 # -- whole-record orchestration (reference process_line, processing.py:29-61) -
+
+_get_001 = compile_get("001")
 
 
 def map_record(
@@ -430,12 +427,15 @@ def map_record(
         return None
     if source_index is None:
         source_index = config.source_index
+    plan = _plan(entity)
     doc: dict = {}
-    record_tags = record.keys()
-    for target, spec, related, gate in _entity_row_plan(entity):
-        if gate is not None and gate.isdisjoint(record_tags):
+    present = record.keys()
+    for target, related, gate, fn, arg in plan.rows:
+        if gate is not None and present.isdisjoint(gate):
             continue  # none of the row's source tags present — provably empty
-        value = collapse(evaluate_row(record, spec, entity, config))
+        value = fn(record, arg, entity, config)
+        if isinstance(value, list) and len(value) == 1:
+            value = value[0]  # collapse; a falsy value is skipped either way
         if not value:
             continue
         if related and isinstance(value, dict) and "_key" in value:
@@ -447,23 +447,22 @@ def map_record(
                     predicate = element.pop("_key")
                     doc[predicate] = merge_value(doc.get(predicate), element)
         else:
-            doc[target] = merge_value(doc.get(target), value)
+            previous = doc.get(target)
+            doc[target] = merge_value(previous, value) if previous else value
     if not doc:
         return None
     if source_index:
-        doc["isBasedOn"] = (
-            config.target_id + "source/" + source_index + "/" + marc_get(record, "001")
-        )
+        doc["isBasedOn"] = config.target_id + "source/" + source_index + "/" + _get_001(record)
     if isinstance(doc.get("sameAs"), list):
         for n, link in enumerate(doc["sameAs"]):
             doc["sameAs"][n]["isBasedOn"]["@id"] = doc["isBasedOn"]
             publisher = doc["sameAs"][n].get("publisher")
             if publisher and publisher["abbr"] == "BSZ":
-                record_ppn = marc_get(record, "001")
+                record_ppn = _get_001(record)
                 doc["sameAs"][n]["@id"] = (
                     f"https://swb.bsz-bw.de/DB=2.1/PPNSET?PPN={record_ppn}"
                 )
-    return {entity: apply_arity(sanitize(doc), entity)}
+    return {entity: plan.finish(doc)}
 
 
 # -- triple spine ------------------------------------------------------------
@@ -485,7 +484,7 @@ def doc_to_triple_columns(
             continue
         for element in value if isinstance(value, list) else [value]:
             if isinstance(element, (dict, list)):
-                obj = json.dumps(element, sort_keys=True, ensure_ascii=False)
+                obj = to_json(element)
                 kind = "node"
             else:
                 obj = str(element)
@@ -512,7 +511,7 @@ def doc_to_triples(doc_id: str, entity: str, doc: dict) -> list[dict[str, str]]:
             continue
         for element in value if isinstance(value, list) else [value]:
             if isinstance(element, (dict, list)):
-                obj = json.dumps(element, sort_keys=True, ensure_ascii=False)
+                obj = to_json(element)
                 kind = "node"
             else:
                 obj = str(element)
@@ -532,7 +531,7 @@ def doc_to_triples(doc_id: str, entity: str, doc: dict) -> list[dict[str, str]]:
 
 def triples_to_doc(triples: list[dict[str, str]]) -> dict:
     """Reassemble a JSON-LD doc from its triples (inverse of doc_to_triples
-    up to single/multi arity, which apply_arity restores)."""
+    up to single/multi arity, which the mapping plan's arity rule restores)."""
     doc: dict = {}
     for row in triples:
         value = json.loads(row["obj"]) if row["obj_kind"] == "node" else row["obj"]

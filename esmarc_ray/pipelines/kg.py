@@ -9,8 +9,9 @@ lineage"):
 
 * the embarrassingly-parallel half (extract+link) runs per INPUT SHARD —
   a group of input files — each writing an intermediate docs table under
-  ``work_dir/docs/shard=K/`` with manifest + _SUCCESS; a rerun skips
-  completed shards;
+  ``work_dir/docs/shard=K/`` with manifest + _SUCCESS, both holding the
+  shard's row count from the written files' footers; a rerun skips a shard
+  only while its files still hold exactly that many rows;
 * the wide half (canonicalize → sort → materialize) streams over the
   intermediate docs tables (much smaller than the raw spans) and writes the
   final triple table with its own manifest + marker.  It reads the docs
@@ -41,6 +42,7 @@ from esmarc_ray.stages.link import build_link_indexes, link_entities
 from esmarc_ray.stages.materialize import (
     materialize_buckets,
     materialize_shard,
+    parquet_rows,
     shard_is_complete,
 )
 
@@ -117,9 +119,12 @@ def run_kg_pipeline(
         shutil.rmtree(shard_dir, ignore_errors=True)
         shard_dir.mkdir(parents=True, exist_ok=True)
         write_table(docs, str(shard_dir))
-        manifest = {"inputs": files, "row_count": -1}  # -1: counted lazily downstream
+        # the row count comes from the written files' footers; resume
+        # checks the shard's files against it (shard_is_complete)
+        n_rows = parquet_rows(shard_dir)
+        manifest = {"inputs": files, "row_count": n_rows}
         (shard_dir / "_manifest.json").write_text(json.dumps(manifest, indent=1))
-        (shard_dir / "_SUCCESS").write_text(json.dumps({"rows": -1}))
+        (shard_dir / "_SUCCESS").write_text(json.dumps({"rows": n_rows}))
         shard_status.append({"shard": k, "status": "built"})
 
     # ---- phase 2: canonicalize + materialize (wide, streaming) -------------

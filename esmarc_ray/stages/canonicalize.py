@@ -47,7 +47,7 @@ from esmarc_ray.ops.relational import (
     partitioned_final,
     reduce_partitions,
 )
-from esmarc_ray.values import merge_value
+from esmarc_ray.values import merge_value, to_json
 
 MERGEABLE = ("sameAs", "about", "mentions", "_merged_from")
 
@@ -56,7 +56,7 @@ def _dedup_key(value) -> str:
     """Canonical identity of a JSON value for set-based union dedup."""
     if isinstance(value, str):
         return "s:" + value
-    return "j:" + json.dumps(value, sort_keys=True, ensure_ascii=False)
+    return "j:" + to_json(value)
 
 
 def merge_docs(docs: list[tuple[str, dict]]) -> tuple[str, dict]:
@@ -348,7 +348,7 @@ def _merge_partition(batch: pa.Table) -> pa.Table:
         else:
             pairs = [(doc_ids[i], json.loads(doc_jsons[i])) for i in idxs]
             rep_id, merged = merge_docs(pairs)
-            doc_json = json.dumps(merged, sort_keys=True, ensure_ascii=False)
+            doc_json = to_json(merged)
             gnd_union: list = []
             for i in idxs:
                 gnd_union = merge_value(gnd_union, list(gnd_lists[i] or []))

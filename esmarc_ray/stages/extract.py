@@ -21,6 +21,7 @@ import ray.data
 from esmarc_ray.codec import batch_to_records
 from esmarc_ray.config import DEFAULT_CONFIG, EngineConfig
 from esmarc_ray.mapping import doc_to_triple_columns, map_record
+from esmarc_ray.values import to_json
 
 DOC_SCHEMA = pa.schema(
     [
@@ -111,7 +112,7 @@ def make_extract_fn(config: EngineConfig = DEFAULT_CONFIG, *, prune: bool = True
                     doc_id,
                     entity,
                     canonical_key(doc_id, doc),
-                    json.dumps(doc, sort_keys=True, ensure_ascii=False),
+                    to_json(doc),
                     doc_gnd_ids(doc),
                     "",
                 )

@@ -6,11 +6,12 @@ enrichment/entityfacts.py, wikidata.py, wikipedia.py, geonames.py,
 gnd_sachgruppen.py — see SURVEY.md §2.4).  Here the joins run inside one
 task-pool ``map_batches``, which Ray fuses with the extract map before it:
 
-* the small side (GND→links, extid→QID, QID→sitelinks, GND→subjects, and a
-  geohash-bucketed geonames index) is built once on the driver and shipped
-  as one ``ray.put`` object ref; each worker process resolves it once and
-  caches the :class:`EntityLinker` built over it (``_link_batch``) — never
-  re-shipped per batch;
+* the small side ships as Arrow tables in one ``ray.put`` object ref
+  (:func:`build_link_indexes`); each worker process resolves it once and
+  caches the :class:`EntityLinker` built over it (``_link_batch``), whose
+  constructor builds the hash indexes (GND→links, extid→QID, QID→sitelinks,
+  GND→subjects) and the geohash-bucketed geonames index column by column —
+  never re-shipped per batch;
 * each batch is enriched in place (doc_json rewritten), with an
   ``n_links_added`` column for link-recall scoring.
 
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
 
 import pyarrow as pa
 import ray
 import ray.data
+
+from esmarc_ray.values import to_json
 
 
 def _bucket(lat: float, lon: float) -> tuple[int, int]:
@@ -73,25 +75,66 @@ def _norm_prefix(prefix: str) -> str:
     return prefix.rstrip("/=")
 
 
-def build_link_indexes(tables: dict[str, pa.Table]) -> dict[str, Any]:
-    """Turn the raw lookup tables into hash/bucket indexes (driver side, once)."""
-    ef = {row["gnd_id"]: row["links"] for row in tables["ef_links"].to_pylist()}
-    wd = {
-        (_norm_prefix(row["ext_uri_prefix"]), row["ext_value"]): row["qid"]
-        for row in tables["wd_xref"].to_pylist()
-    }
-    wp: dict[str, list] = {}
-    for row in tables["wp_sites"].to_pylist():
-        wp.setdefault(row["qid"], []).append(row)
-    subjects = {row["gnd_id"]: row for row in tables["gnd_subjects"].to_pylist()}
-    cats = {
-        (row["cc"], row["article_title"]): row["pages"]
-        for row in tables.get("wp_categories", pa.table({"cc": [], "article_title": [], "pages": []})).to_pylist()
-    }
-    geo: dict[tuple[int, int], list] = {}
-    for row in tables["geonames"].to_pylist():
-        geo.setdefault(_bucket(row["lat"], row["lon"]), []).append(row)
-    return {"ef": ef, "wd": wd, "wp": wp, "subjects": subjects, "geo": geo, "cats": cats}
+# table -> the columns the linker reads from it
+_LINK_COLUMNS = {
+    "ef_links": ("gnd_id", "links"),
+    "wd_xref": ("ext_uri_prefix", "ext_value", "qid"),
+    "wp_sites": ("qid", "site", "url", "title"),
+    "gnd_subjects": ("gnd_id", "subject_category", "ddc3"),
+    "geonames": ("geoname_id", "name", "lat", "lon"),
+    "wp_categories": ("cc", "article_title", "pages"),
+}
+
+
+def build_link_indexes(tables: dict[str, pa.Table]) -> dict[str, pa.Table]:
+    """The lookup tables as the linker ships them: Arrow, cut to the columns
+    it reads.  Cheap on the driver and for ``ray.put`` (Arrow buffers pickle
+    as bytes); :class:`EntityLinker` builds its hash and bucket indexes from
+    them, once per worker process (``_link_batch``)."""
+    out = {}
+    for name, columns in _LINK_COLUMNS.items():
+        if name == "wp_categories" and name not in tables:
+            continue  # optional: no category enrichment
+        table = tables[name]
+        if table.num_rows and set(columns) <= set(table.column_names):
+            table = table.select(list(columns))
+        out[name] = table.combine_chunks()
+    return out
+
+
+def _column(table: pa.Table, name: str) -> list:
+    """One column as a Python list, through numpy where that is exact."""
+    if not table.num_rows:
+        return []
+    col = table.column(name).combine_chunks()
+    if pa.types.is_list(col.type):
+        if col.null_count:
+            return col.to_pylist()
+        values = _column(pa.table({name: col.flatten()}), name)
+        bounds = col.offsets.to_pylist()
+        base = bounds[0]
+        return [values[lo - base : hi - base] for lo, hi in zip(bounds, bounds[1:])]
+    if col.null_count and not pa.types.is_string(col.type):
+        return col.to_pylist()  # numpy would turn null numbers into NaN
+    return col.to_numpy(zero_copy_only=False).tolist()
+
+
+def _nested_column(table: pa.Table, name: str, fields: tuple[str, ...]) -> list:
+    """A list<struct> column as per-row lists of field tuples (None for a
+    null list), without building a dict per struct."""
+    if not table.num_rows:
+        return []
+    col = table.column(name).combine_chunks()
+    flat = col.flatten()
+    if col.null_count or flat.null_count:
+        return [
+            None if row is None else [None if x is None else tuple(x[f] for f in fields) for x in row]
+            for row in col.to_pylist()
+        ]
+    bounds = col.offsets.to_pylist()
+    base = bounds[0]
+    values = list(zip(*(_column(pa.table({f: flat.field(f)}), f) for f in fields)))
+    return [values[lo - base : hi - base] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -105,13 +148,54 @@ def _haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 class EntityLinker:
     """Per-batch callable: enrich entity docs against the link indexes."""
 
-    def __init__(self, indexes: dict[str, Any]):
-        self._ef = indexes["ef"]
-        self._wd = indexes["wd"]
-        self._wp = indexes["wp"]
-        self._subjects = indexes["subjects"]
-        self._geo = indexes["geo"]
-        self._cats = indexes.get("cats", {})
+    def __init__(self, indexes: dict[str, pa.Table]):
+        """Build the lookups from :func:`build_link_indexes`' tables, column
+        by column; rows are tuples of the fields the link steps read."""
+        ef = indexes["ef_links"]
+        # gnd_id -> [(id, abbr, name), ...]
+        self._ef = dict(zip(_column(ef, "gnd_id"), _nested_column(ef, "links", ("id", "abbr", "name"))))
+        wd = indexes["wd_xref"]
+        norm = {prefix: _norm_prefix(prefix) for prefix in set(_column(wd, "ext_uri_prefix"))}
+        # (normalized prefix, ext value) -> qid
+        self._wd = dict(
+            zip(
+                zip(map(norm.__getitem__, _column(wd, "ext_uri_prefix")), _column(wd, "ext_value")),
+                _column(wd, "qid"),
+            )
+        )
+        wp = indexes["wp_sites"]
+        # qid -> [(site, url, title), ...]
+        self._wp: dict[str, list] = {}
+        for qid, row in zip(
+            _column(wp, "qid"), zip(_column(wp, "site"), _column(wp, "url"), _column(wp, "title"))
+        ):
+            self._wp.setdefault(qid, []).append(row)
+        subjects = indexes["gnd_subjects"]
+        # gnd_id -> (subject categories, ddc3 codes)
+        self._subjects = dict(
+            zip(
+                _column(subjects, "gnd_id"),
+                zip(_column(subjects, "subject_category"), _column(subjects, "ddc3")),
+            )
+        )
+        geo = indexes["geonames"]
+        # ~1 km bucket -> [(lat, lon, name, geoname_id), ...]
+        self._geo: dict[tuple[int, int], list] = {}
+        rows = zip(_column(geo, "lat"), _column(geo, "lon"), _column(geo, "name"), _column(geo, "geoname_id"))
+        for row in rows:
+            self._geo.setdefault(_bucket(row[0], row[1]), []).append(row)
+        cats = indexes.get("wp_categories")
+        # (cc, article title) -> [(page_id, title), ...]
+        self._cats = (
+            dict(
+                zip(
+                    zip(_column(cats, "cc"), _column(cats, "article_title")),
+                    _nested_column(cats, "pages", ("page_id", "title")),
+                )
+            )
+            if cats is not None
+            else {}
+        )
         # candidate gate: a doc with no GND id can only be enriched if its
         # raw JSON mentions a geo node, a wikipedia link, or one of the
         # wikidata ext-id prefixes — one compiled scan beats a parse+dump
@@ -132,16 +216,16 @@ class EntityLinker:
             same_as = [same_as]
         known = {link.get("@id") for link in same_as if isinstance(link, dict)}
         for gnd_id in gnd_ids:
-            for link in self._ef.get(gnd_id, []):
-                if link["id"] not in known:
+            for link_id, abbr, name in self._ef.get(gnd_id, []):
+                if link_id not in known:
                     same_as.append(
                         {
-                            "@id": link["id"],
-                            "publisher": {"abbr": link["abbr"], "preferredName": link["name"]},
+                            "@id": link_id,
+                            "publisher": {"abbr": abbr, "preferredName": name},
                             "isBasedOn": {"@type": "Dataset", "@id": doc.get("isBasedOn", "")},
                         }
                     )
-                    known.add(link["id"])
+                    known.add(link_id)
                     added += 1
         if added:
             doc["sameAs"] = same_as
@@ -207,10 +291,10 @@ class EntityLinker:
                     continue
                 based = (link.get("isBasedOn") or {}).get("@id") or ""
                 abbrevs[abbr] = {"host": urlparse(based).hostname or "", "pos": pos}
-            for site in self._wp.get(qid, []):
-                abbr = f"WP-{site['site']}"
+            for site, url, title in self._wp.get(qid, []):
+                abbr = f"WP-{site}"
                 new_link = {
-                    "@id": site["url"],
+                    "@id": url,
                     "publisher": {"abbr": abbr, "preferredName": "Wikipedia"},
                     "isBasedOn": {"@type": "Dataset", "@id": wd_uri},
                 }
@@ -226,8 +310,8 @@ class EntityLinker:
                     added += 1
                 # multilingual name enrichment (reference wikipedia.py:148-157)
                 doc.setdefault("name", {})
-                if isinstance(doc["name"], dict) and site["site"] not in doc["name"]:
-                    doc["name"][site["site"]] = site["title"]
+                if isinstance(doc["name"], dict) and site not in doc["name"]:
+                    doc["name"][site] = title
                     added += 1
         return added
 
@@ -255,11 +339,11 @@ class EntityLinker:
                 continue
             base = f"https://{cc}.wikipedia.org/wiki/"
             bucket = doc.setdefault("category", {})
-            for page in pages:
+            for page_id, page_title in pages:
                 obj = {
-                    "@id": base + f"?curid={page['page_id']}",
-                    "sameAs": base + page["title"].replace(" ", "_"),
-                    "name": ":".join(page["title"].split(":")[1:]),
+                    "@id": base + f"?curid={page_id}",
+                    "sameAs": base + page_title.replace(" ", "_"),
+                    "name": ":".join(page_title.split(":")[1:]),
                 }
                 current = bucket.get(cc)
                 known = current if isinstance(current, list) else ([current] if current else [])
@@ -278,7 +362,8 @@ class EntityLinker:
             if isinstance(about, dict):
                 about = [about]
                 doc["about"] = about
-            for category, ddc in zip(entry["subject_category"], entry["ddc3"]):
+            categories, ddcs = entry
+            for category, ddc in zip(categories, ddcs):
                 node = {
                     "name": category,
                     "identifier": {"@type": "PropertyValue", "propertyID": "DDC", "value": ddc},
@@ -301,12 +386,14 @@ class EntityLinker:
         added = 0
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                for row in self._geo.get((cell[0] + dx, cell[1] + dy), []):
-                    if _haversine_km(lat, lon, row["lat"], row["lon"]) > 0.1:
+                for row_lat, row_lon, row_name, geoname_id in self._geo.get(
+                    (cell[0] + dx, cell[1] + dy), []
+                ):
+                    if _haversine_km(lat, lon, row_lat, row_lon) > 0.1:
                         continue
-                    if name and name not in row["name"] and row["name"] not in name:
+                    if name and name not in row_name and row_name not in name:
                         continue
-                    uri = f"https://sws.geonames.org/{row['geoname_id']}/"
+                    uri = f"https://sws.geonames.org/{geoname_id}/"
                     same_as = doc.setdefault("sameAs", [])
                     if isinstance(same_as, dict):
                         same_as = [same_as]
@@ -349,7 +436,7 @@ class EntityLinker:
             # unchanged docs keep their original serialization — the dump is
             # a measurable cost and byte-identity helps downstream dedup
             out_json.append(
-                json.dumps(doc, sort_keys=True, ensure_ascii=False) if added else doc_json
+                to_json(doc) if added else doc_json
             )
             n_added.append(added)
         table = batch.set_column(

@@ -56,7 +56,7 @@ def _xor_crc(batch: pa.Table) -> int:
         "\x1f",
     )
     xor_crc = 0
-    for buf in joined.cast(pa.binary()).to_pylist():
+    for buf in joined.cast(pa.binary()).to_numpy(zero_copy_only=False):
         xor_crc ^= zlib.crc32(buf)
     return xor_crc
 
@@ -362,13 +362,26 @@ def materialize_buckets(
     return status
 
 
+def parquet_rows(path: str | pathlib.Path) -> int:
+    """Rows in every ``*.parquet`` file under ``path`` (searched
+    recursively), summed from the parquet footers — no data is read."""
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(p).num_rows for p in pathlib.Path(path).rglob("*.parquet"))
+
+
 def shard_is_complete(shard_dir: str | pathlib.Path) -> bool:
+    """A shard (docs shard or triple bucket) is complete when its manifest
+    and ``_SUCCESS`` marker agree on a real row count and the parquet files
+    now under it hold exactly that many rows.  A lost or a stray file, or a
+    legacy ``-1`` count, makes it incomplete, so resume rebuilds it."""
     shard_path = pathlib.Path(shard_dir)
     if not (shard_path / "_SUCCESS").exists() or not (shard_path / "_manifest.json").exists():
         return False
     try:
         manifest = json.loads((shard_path / "_manifest.json").read_text())
         marker = json.loads((shard_path / "_SUCCESS").read_text())
-        return manifest["row_count"] == marker["rows"]
-    except (ValueError, KeyError):
+        rows = manifest["row_count"]
+        return rows == marker["rows"] and rows >= 0 and parquet_rows(shard_path) == rows
+    except (ValueError, KeyError, TypeError, OSError, pa.ArrowException):
         return False

@@ -17,7 +17,14 @@ reference's emission byte-for-byte, so the same algebra is available here.
 
 from __future__ import annotations
 
+import copy
+import json
 from typing import Any
+
+
+# The engine's canonical JSON text of a doc or node: ``json.dumps(value,
+# sort_keys=True, ensure_ascii=False)`` with the encoder built once, not per call.
+to_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def collapse(value: Any) -> Any:
@@ -26,6 +33,13 @@ def collapse(value: Any) -> Any:
     Scalars (including non-empty strings and dicts) pass through unchanged.
     Mirrors the reference's ``ArrayOrSingleValue`` at every observed call site.
     """
+    kind = type(value)
+    if kind is str or kind is dict:
+        return value or None
+    if kind is list:
+        if len(value) == 1:
+            return value[0]
+        return value or None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     if not value:
@@ -101,3 +115,22 @@ def adjacent_uniq(items: list) -> list:
         out.append(item)
         previous = item
     return out
+
+
+def copy_tree(value: Any) -> Any:
+    """Deep copy of JSON-shaped data: new dicts and lists all the way down,
+    strings and other scalars shared.
+
+    On data in which no container is reachable twice — parsed JSON, decoded
+    records, freshly built mapping nodes — this is ``copy.deepcopy``'s result
+    without its memo bookkeeping; any other type is handed to
+    ``copy.deepcopy``.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {k: v if type(v) is str else copy_tree(v) for k, v in value.items()}
+    if kind is list:
+        return [v if type(v) is str else copy_tree(v) for v in value]
+    if kind is str or value is None or kind is int or kind is float or kind is bool:
+        return value
+    return copy.deepcopy(value)

@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from esmarc_ray.mapping import ENTITY_MAPPINGS, evaluate_row
+from esmarc_ray.mapping import ENTITY_MAPPINGS
 from esmarc_ray.config import DEFAULT_CONFIG
 from tests.conftest import load_golden
+from tests.mapping_oracle import evaluate_row
 
 CASES = [
     ("mentions", "1131213920"),

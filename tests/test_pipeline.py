@@ -235,6 +235,58 @@ def test_resume_rebuilds_partial_docs_shard_without_orphans(pinned_run, tmp_path
     assert got == PINNED_MANIFEST
 
 
+def test_docs_checkpoint_records_real_row_counts(pinned_run):
+    """Each docs shard's manifest and _SUCCESS marker hold the row count of
+    the files written under it, summed from their parquet footers."""
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.stages.materialize import shard_is_complete
+
+    run_dir, _, _ = pinned_run
+    shards = sorted((run_dir / "out" / "docs").glob("shard=*"))
+    assert len(shards) == 2
+    for shard in shards:
+        footer_rows = sum(pq.ParquetFile(p).metadata.num_rows for p in shard.glob("*.parquet"))
+        assert footer_rows > 0
+        assert json.loads((shard / "_manifest.json").read_text())["row_count"] == footer_rows
+        assert json.loads((shard / "_SUCCESS").read_text()) == {"rows": footer_rows}
+        assert shard_is_complete(shard)
+    assert sum(
+        json.loads((shard / "_SUCCESS").read_text())["rows"] for shard in shards
+    ) == PINNED_SPEC.n_docs
+
+
+@pytest.mark.parametrize("damage", ["lost_file", "stray_duplicate", "legacy_marker"])
+def test_resume_rebuilds_docs_shard_whose_files_changed(pinned_run, tmp_path, damage):
+    """A completed docs shard that lost a file, or gained a stray copy of
+    one, no longer matches its recorded row count: resume rebuilds it and
+    reproduces the pinned manifest.  A marker written before docs shards
+    carried row counts (``-1``) is rebuilt too."""
+    run_dir, tables, _ = pinned_run
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out" / "docs", out / "docs")  # no triples/
+    clean_rows = _docs_rows(out / "docs")
+    shard = out / "docs" / "shard=00001"
+    files = sorted(shard.glob("*.parquet"))
+    assert files
+    if damage == "lost_file":
+        files[0].unlink()
+    elif damage == "stray_duplicate":
+        shutil.copy(files[0], shard / "stray-copy.parquet")
+    else:
+        (shard / "_manifest.json").write_text(json.dumps({"inputs": [], "row_count": -1}))
+        (shard / "_SUCCESS").write_text(json.dumps({"rows": -1}))
+    assert _docs_rows(out / "docs") != clean_rows or damage == "legacy_marker"
+
+    resumed = run_kg_pipeline(
+        str(run_dir / "in"), str(out), link_tables=tables, num_shards=2
+    )
+    assert [s["status"] for s in resumed["shards"]] == ["skipped(resume)", "built"]
+    assert _docs_rows(out / "docs") == clean_rows
+    got = {key: resumed["triples"][key] for key in PINNED_MANIFEST}
+    assert got == PINNED_MANIFEST
+
+
 def test_phase2_is_invariant_to_checkpoint_block_granularity(pinned_run, tmp_path):
     """Phase 2 over the pinned docs checkpoint read four ways — one block per
     file (the pipeline's read), Ray's default split, 16 blocks, and the whole
@@ -914,3 +966,60 @@ def test_materialize_shard_writes_each_class_sorted(ray_session, tmp_path):
         keys = list(zip(table.column("subj").to_pylist(), table.column("pred").to_pylist()))
         assert len(keys) == manifest["rows_per_class"][class_dir.name.split("=", 1)[1]]
         assert keys == sorted(keys), class_dir.name
+
+
+def test_manifest_sink_retry_overwrites_its_own_files(tmp_path):
+    """A retried write task (same ``ctx.task_idx``, same blocks) writes the
+    same file names again: the files, their count, the returned partials and
+    the folded manifest all come out the same as after the first attempt."""
+    import types
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.stages.materialize import ManifestParquetSink, _fold_manifest
+
+    blocks = [
+        pa.table(
+            {
+                "subj": [f"s{i}" for i in range(6)],
+                "pred": ["p"] * 6,
+                "obj": [f"o{i}" for i in range(6)],
+                "obj_kind": ["literal"] * 6,
+                "entity_class": ["persons", "geo"] * 3,
+                "doc_id": [f"d{i}" for i in range(6)],
+            }
+        ),
+        pa.table(
+            {
+                "subj": ["s9"],
+                "pred": ["q"],
+                "obj": ["o9"],
+                "obj_kind": ["node"],
+                "entity_class": ["persons"],
+                "doc_id": ["d9"],
+            }
+        ),
+    ]
+    out = tmp_path / "shard"
+    sink = ManifestParquetSink(out, ["entity_class"])
+    ctx = types.SimpleNamespace(task_idx=3)
+
+    def snapshot():
+        files = sorted(p.relative_to(out) for p in out.rglob("*.parquet"))
+        contents = {str(p): pq.read_table(out / p).to_pylist() for p in files}
+        return files, contents
+
+    first = sink.write(blocks, ctx)
+    files_first, contents_first = snapshot()
+    manifest_first = _fold_manifest(first, out, ["in"], 0.0)
+    retried = sink.write(blocks, ctx)
+    files_retried, contents_retried = snapshot()
+    manifest_retried = _fold_manifest(retried, out, ["in"], 0.0)
+
+    assert files_retried == files_first
+    assert len(files_retried) == len(files_first) == 3
+    assert contents_retried == contents_first
+    assert retried == first
+    assert manifest_retried == manifest_first
+    assert manifest_first["row_count"] == 7
