@@ -12,8 +12,10 @@ includes projection, reference helperfunc.py:21-33).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
+import pyarrow as pa
 import ray.data
 
 try:  # pragma: no cover - not installed in this sandbox
@@ -28,6 +30,50 @@ except ImportError:
 # stages/materialize.py) — zstd is about half snappy's size on this data,
 # and no slower to write or read back
 PARQUET_COMPRESSION = "zstd"
+
+# Long text and JSON columns: nearly every value is distinct, so a
+# dictionary only adds a page for zstd to compress a second time.
+PLAIN_COLUMNS = frozenset({"obj", "doc_json"})
+# The triple table's sort keys, the only columns a reader can prune row
+# groups on.  Min/max statistics of the JSON columns are whole documents,
+# repeated in every page header.
+STATISTICS_COLUMNS = frozenset({"subj", "pred"})
+
+
+@dataclass(frozen=True)
+class ParquetEncoding:
+    """The parquet encoding policy of one table role: zstd at ``zstd_level``
+    in data pages of ``data_page_size`` bytes, no dictionary for
+    :data:`PLAIN_COLUMNS`, statistics only for :data:`STATISTICS_COLUMNS`."""
+
+    zstd_level: int
+    data_page_size: int
+
+    def write_options(self, schema: pa.Schema) -> dict[str, Any]:
+        """``pyarrow.parquet.write_table`` keyword arguments for ``schema``."""
+        # the options name leaf columns: a list column's values are "<name>.list.element"
+        leaves = [
+            (f.name, f"{f.name}.list.element" if pa.types.is_list(f.type) else f.name)
+            for f in schema
+        ]
+        return {
+            "compression": PARQUET_COMPRESSION,
+            "compression_level": self.zstd_level,
+            "data_page_size": self.data_page_size,
+            "use_dictionary": [leaf for name, leaf in leaves if name not in PLAIN_COLUMNS],
+            "write_statistics": [leaf for name, leaf in leaves if name in STATISTICS_COLUMNS],
+        }
+
+
+# The triple table is the durable product every consumer reads, written
+# once: of zstd levels 1-9 x 1/8-MiB pages, the smallest output whose sink
+# write CPU stays clearly within 1 ms per 1k triples of level 1 (+0.5 to
+# +0.7 ms); levels 7-9 measured +0.8 to +1.2 ms (ROADMAP "Measured and
+# rejected").
+TRIPLE_ENCODING = ParquetEncoding(zstd_level=6, data_page_size=8 << 20)
+# The docs/ and canonical/ checkpoints sit on the critical path between the
+# phases and are read once: the fastest level, parquet's default pages.
+CHECKPOINT_ENCODING = ParquetEncoding(zstd_level=1, data_page_size=1 << 20)
 
 
 def compile_query_filter(query: Any) -> Any:
@@ -102,10 +148,18 @@ def read_checkpoint(files: list[str]) -> ray.data.Dataset:
 
 
 def write_table(ds: ray.data.Dataset, path: str, *, format: str = "parquet", **kwargs: Any) -> None:
+    """Write ``ds`` under ``path``.  As parquet it is a docs-shaped
+    checkpoint (the ``canonical/`` checkpoint): unpartitioned, through the
+    pipeline's one parquet sink at :data:`CHECKPOINT_ENCODING`, one
+    deterministically named file per block.  ``kwargs`` are ``write_lance``
+    options."""
     if format == "lance" and HAVE_LANCE:
         ds.write_lance(path, **kwargs)
     else:
-        ds.write_parquet(path, compression=PARQUET_COMPRESSION, **kwargs)
+        # materialize imports this module
+        from esmarc_ray.stages.materialize import DOCS, ManifestParquetSink
+
+        ds.write_datasink(ManifestParquetSink(path, DOCS.partition_cols, table=DOCS))
 
 
 def write_jsonld(

@@ -9,9 +9,10 @@ lineage"):
 
 * the embarrassingly-parallel half (extract+link) runs per INPUT SHARD —
   a group of input files — each writing an intermediate docs table under
-  ``work_dir/docs/shard=K/`` with manifest + _SUCCESS, both holding the
-  shard's row count from the written files' footers; a rerun skips a shard
-  only while its files still hold exactly that many rows;
+  ``work_dir/docs/shard=K/`` through the same manifest sink as the triples
+  (unpartitioned, ``materialize.DOCS``): manifest (row count, rows per
+  class, content hash) + _SUCCESS; a rerun skips a shard only while its
+  files still hold exactly the recorded row count;
 * the wide half (canonicalize → sort → materialize) streams over the
   intermediate docs tables (much smaller than the raw spans) and writes the
   final triple table with its own manifest + marker.  It reads the docs
@@ -40,9 +41,9 @@ from esmarc_ray.stages.canonicalize import canonicalize
 from esmarc_ray.stages.extract import docs_to_triples, extract_docs
 from esmarc_ray.stages.link import build_link_indexes, link_entities
 from esmarc_ray.stages.materialize import (
+    DOCS,
     materialize_buckets,
     materialize_shard,
-    parquet_rows,
     shard_is_complete,
 )
 
@@ -114,17 +115,10 @@ def run_kg_pipeline(
             indexes_ref=indexes_ref,
             link_concurrency=link_concurrency,
         )
-        # an incomplete shard dir holds a crashed attempt's files: the write
-        # adds uuid-named files, so wipe it or phase 2 reads both copies
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        write_table(docs, str(shard_dir))
-        # the row count comes from the written files' footers; resume
-        # checks the shard's files against it (shard_is_complete)
-        n_rows = parquet_rows(shard_dir)
-        manifest = {"inputs": files, "row_count": n_rows}
-        (shard_dir / "_manifest.json").write_text(json.dumps(manifest, indent=1))
-        (shard_dir / "_SUCCESS").write_text(json.dumps({"rows": n_rows}))
+        # the one sink: an incomplete shard dir is wiped first, the files
+        # get deterministic names, and the manifest and marker hold the
+        # written row count that resume checks (shard_is_complete)
+        materialize_shard(docs, shard_dir, inputs=files, sort=False, table=DOCS)
         shard_status.append({"shard": k, "status": "built"})
 
     # ---- phase 2: canonicalize + materialize (wide, streaming) -------------

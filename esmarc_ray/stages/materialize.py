@@ -14,7 +14,12 @@ tiny partials into the manifest.  One pass over the triples — at 100 TB the
 output is written once and never re-read for lineage (the previous design
 re-read the entire freshly-written shard to compute the same numbers).
 
-Layout (zstd parquet, ``esmarc_ray.io.PARQUET_COMPRESSION``)::
+The phase-1 docs checkpoint goes through the same sink (:data:`DOCS`):
+unpartitioned, its content hash over every doc column, and the cheaper
+checkpoint encoding.  Each table's parquet encoding is
+``esmarc_ray.io.ParquetEncoding`` (:data:`TRIPLES`, :data:`DOCS`).
+
+Layout of a triple shard::
 
     out_dir/
       shard=00000/
@@ -31,29 +36,60 @@ import json
 import pathlib
 import shutil
 import zlib
+from dataclasses import dataclass
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data import Datasink
 
-from esmarc_ray.io import HAVE_LANCE, PARQUET_COMPRESSION, write_table
+from esmarc_ray.io import (
+    CHECKPOINT_ENCODING,
+    HAVE_LANCE,
+    TRIPLE_ENCODING,
+    ParquetEncoding,
+    write_table,
+)
 from esmarc_ray.ops.relational import hash_partition
+from esmarc_ray.stages.extract import DOC_SCHEMA
+
+# the columns a triple's content hash covers
+TRIPLE_HASH_COLUMNS = ("subj", "pred", "obj")
 
 
-def _xor_crc(batch: pa.Table) -> int:
-    """Order-insensitive content hash of a triple block.
+@dataclass(frozen=True)
+class ShardTable:
+    """What the sink needs to know about the table a shard holds: its hive
+    partition columns, the columns its content hash covers and its parquet
+    encoding."""
 
-    Matches the historical driver-side definition exactly (crc32 over
-    ``subj\\x1fpred\\x1fobj``, xor-folded), so manifests stay byte-identical
-    across the write-path rewrite.  The row join is vectorized in Arrow;
-    only the crc itself loops, over the block's pre-joined bytes.
+    partition_cols: tuple[str, ...]
+    hash_cols: tuple[str, ...]
+    encoding: ParquetEncoding
+
+
+TRIPLES = ShardTable(("entity_class",), TRIPLE_HASH_COLUMNS, TRIPLE_ENCODING)
+# unpartitioned: phase 2 reads one block per docs file
+DOCS = ShardTable((), tuple(DOC_SCHEMA.names), CHECKPOINT_ENCODING)
+
+
+def _as_text(column: pa.ChunkedArray) -> pa.ChunkedArray:
+    if pa.types.is_list(column.type):
+        column = pc.binary_join(column, "\x1e")
+    return pc.fill_null(pc.cast(column, pa.string()), "None")
+
+
+def _xor_crc(batch: pa.Table, columns: tuple[str, ...] = TRIPLE_HASH_COLUMNS) -> int:
+    """Order-insensitive content hash of a block over ``columns``.
+
+    For the triple columns this matches the historical driver-side
+    definition exactly (crc32 over ``subj\\x1fpred\\x1fobj``, xor-folded), so
+    manifests stay byte-identical across the write-path rewrite.  A list
+    column's values are joined with ``\\x1e``.  The row join is vectorized in
+    Arrow; only the crc itself loops, over the block's pre-joined bytes.
     """
     joined = pc.binary_join_element_wise(
-        pc.fill_null(pc.cast(batch.column("subj"), pa.string()), "None"),
-        pc.fill_null(pc.cast(batch.column("pred"), pa.string()), "None"),
-        pc.fill_null(pc.cast(batch.column("obj"), pa.string()), "None"),
-        "\x1f",
+        *(_as_text(batch.column(name)) for name in columns), "\x1f"
     )
     xor_crc = 0
     for buf in joined.cast(pa.binary()).to_numpy(zero_copy_only=False):
@@ -80,15 +116,20 @@ class ManifestParquetSink(Datasink):
     dict per written file instead of re-reading the whole output.  File
     names are deterministic per (task_idx, block, partition combo), so a
     retried write task overwrites its own files rather than duplicating.
+    ``table`` sets the content hash's columns and the parquet encoding;
+    with no ``partition_cols`` every block is one file in ``out_dir``.
     """
 
     def __init__(
         self,
         out_dir: str | pathlib.Path,
-        partition_cols: list[str],
+        partition_cols: list[str] | tuple[str, ...],
+        *,
+        table: ShardTable = TRIPLES,
     ) -> None:
         self.out_dir = str(out_dir)
         self.partition_cols = list(partition_cols)
+        self.table = table
         self.partials: list[dict] = []
 
     def write(self, blocks, ctx) -> list[dict]:
@@ -101,6 +142,7 @@ class ManifestParquetSink(Datasink):
                 block = pa.Table.from_pandas(block)
             if block.num_rows == 0:
                 continue
+            # with no partition columns: one combo, the whole block
             combos = block.group_by(self.partition_cols).aggregate([])
             for j in range(combos.num_rows):
                 mask = None
@@ -117,7 +159,7 @@ class ManifestParquetSink(Datasink):
                     else:
                         m = pc.equal(block.column(col), val)
                     mask = m if mask is None else pc.and_(mask, m)
-                sub = block.filter(mask)
+                sub = block if mask is None else block.filter(mask)
                 part_dir = base.joinpath(
                     *(
                         f"{c}=__HIVE_DEFAULT_PARTITION__"
@@ -127,10 +169,10 @@ class ManifestParquetSink(Datasink):
                 )
                 part_dir.mkdir(parents=True, exist_ok=True)
                 path = part_dir / f"part-{ctx.task_idx:05d}-{bi}-{j}.parquet"
-                pq.write_table(
-                    sub.drop_columns(self.partition_cols), path,
-                    compression=PARQUET_COMPRESSION,
-                )
+                # no schema metadata (pandas' index notes): Ray's schema
+                # unification cannot hash a schema that carries any
+                data = sub.drop_columns(self.partition_cols).replace_schema_metadata(None)
+                pq.write_table(data, path, **self.table.encoding.write_options(data.schema))
                 if "entity_class" in part:
                     counts = {str(part["entity_class"]): sub.num_rows}
                 elif "entity_class" in sub.column_names:
@@ -142,7 +184,7 @@ class ManifestParquetSink(Datasink):
                         "part": part,
                         "n_rows": sub.num_rows,
                         "class_counts": counts,
-                        "xor_crc": _xor_crc(sub),
+                        "xor_crc": _xor_crc(sub, self.table.hash_cols),
                     }
                 )
         return results
@@ -193,7 +235,7 @@ def _fold_manifest(
 
 
 def _read_back_partials(
-    shard_path: pathlib.Path, format: str = "parquet"
+    shard_path: pathlib.Path, format: str = "parquet", table: ShardTable = TRIPLES
 ) -> list[dict]:
     """Fallback partial computation for sinks that can't return write stats
     (the lance path): a distributed read-back pass producing the same
@@ -221,7 +263,7 @@ def _read_back_partials(
             {
                 "n_rows": [batch.num_rows],
                 "class_counts": [json.dumps(_class_counts(batch))],
-                "xor_crc": pa.array([_xor_crc(batch)], type=pa.uint64()),
+                "xor_crc": pa.array([_xor_crc(batch, table.hash_cols)], type=pa.uint64()),
             }
         )
 
@@ -244,8 +286,10 @@ def materialize_shard(
     inputs: list[str] | None = None,
     sort: bool = True,
     format: str = "parquet",
+    table: ShardTable = TRIPLES,
 ) -> dict:
-    """Sort + partition-write one shard's triples; manifest then marker.
+    """Sort + partition-write one shard of ``table`` (the triples, or the
+    phase-1 docs with ``sort=False, table=DOCS``); manifest then marker.
 
     An existing (necessarily incomplete or stale) shard dir is wiped first —
     the write is idempotent, never appending like the reference sink does.
@@ -265,11 +309,11 @@ def materialize_shard(
     if format == "lance" and HAVE_LANCE:
         write_table(
             triples, str(shard_path), format=format,
-            partition_cols=["entity_class"],
+            partition_cols=list(table.partition_cols),
         )
-        partials = _read_back_partials(shard_path, format="lance")
+        partials = _read_back_partials(shard_path, format="lance", table=table)
     else:
-        sink = ManifestParquetSink(shard_path, ["entity_class"])
+        sink = ManifestParquetSink(shard_path, table.partition_cols, table=table)
         triples.write_datasink(sink)
         partials = sink.partials
     write_seconds = time.perf_counter() - t_start

@@ -19,12 +19,29 @@ from __future__ import annotations
 
 import copy
 import json
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 
-# The engine's canonical JSON text of a doc or node: ``json.dumps(value,
-# sort_keys=True, ensure_ascii=False)`` with the encoder built once, not per call.
-to_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+if c_make_encoder is None:  # pragma: no cover - CPython always builds _json
+    raise ImportError("esmarc_ray needs the C accelerator of the json module (_json)")
+
+# ``JSONEncoder.encode`` builds a new C encoder on every call; this one is
+# built once with the arguments ``json.dumps(value, sort_keys=True,
+# ensure_ascii=False)`` passes it: no indent, ": " / ", " separators,
+# sort_keys, no skipkeys, allow_nan.  ``markers=None`` turns off cycle
+# detection — docs and nodes are trees.
+_iterencode = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", True, False, True
+)
+
+
+def to_json(value: Any) -> str:
+    """The engine's canonical JSON text of a doc or node: byte-identical to
+    ``json.dumps(value, sort_keys=True, ensure_ascii=False)``."""
+    if isinstance(value, str):  # as JSONEncoder.encode does
+        return encode_basestring(value)
+    return "".join(_iterencode(value, 0))
 
 
 def collapse(value: Any) -> Any:

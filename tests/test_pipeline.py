@@ -256,6 +256,78 @@ def test_docs_checkpoint_records_real_row_counts(pinned_run):
     ) == PINNED_SPEC.n_docs
 
 
+def test_kg_files_follow_the_encoding_policy(pinned_run):
+    """Footer-level pins on a pipeline run's triple and docs files: every
+    column chunk is zstd, the JSON/text columns ``obj`` and ``doc_json``
+    carry no dictionary page, statistics exist on ``subj``/``pred`` and on
+    no other column, and no file reads back with schema metadata (Ray's
+    schema unification cannot hash a schema that carries any)."""
+    import pyarrow.parquet as pq
+
+    run_dir, _, _ = pinned_run
+    triple_files = sorted((run_dir / "out" / "triples").rglob("*.parquet"))
+    doc_files = sorted((run_dir / "out" / "docs").rglob("*.parquet"))
+    assert triple_files and doc_files
+    seen = set()
+    for path in triple_files + doc_files:
+        meta = pq.read_metadata(path)
+        for g in range(meta.num_row_groups):
+            for c in range(meta.row_group(g).num_columns):
+                chunk = meta.row_group(g).column(c)
+                name = chunk.path_in_schema
+                seen.add(name)
+                assert chunk.compression == "ZSTD", (path, name)
+                if name in ("obj", "doc_json"):
+                    assert not chunk.has_dictionary_page, (path, name)
+                else:
+                    assert chunk.has_dictionary_page, (path, name)
+                assert chunk.is_stats_set == (name in ("subj", "pred")), (path, name)
+        assert pq.read_table(path).schema.metadata is None, path
+    assert {"subj", "pred", "obj", "doc_json", "gnd_ids.list.element"} <= seen
+
+
+def test_docs_manifest_matches_its_files(pinned_run):
+    """A docs shard's manifest carries ``rows_per_class`` and a content hash
+    over every doc column, both equal to a recomputation from its files."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.stages.materialize import DOCS, _xor_crc
+
+    run_dir, _, _ = pinned_run
+    for shard in sorted((run_dir / "out" / "docs").glob("shard=*")):
+        manifest = json.loads((shard / "_manifest.json").read_text())
+        table = pq.read_table(shard, partitioning=None)
+        counts = pc.value_counts(table.column("entity_class"))
+        assert manifest["rows_per_class"] == dict(
+            zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
+        )
+        assert manifest["content_hash"] == _xor_crc(table, DOCS.hash_cols)
+        assert manifest["row_count"] == table.num_rows
+
+
+def test_parquet_bytes_tool_on_pinned_triples(pinned_run, capsys):
+    """``tools/parquet_bytes.py`` accounts for every byte of the pinned
+    run's triple files and reports their codec and encodings."""
+    from tools.parquet_bytes import column_bytes, main
+
+    run_dir, _, manifest = pinned_run
+    triples = run_dir / "out" / "triples"
+    tree = column_bytes(triples)
+    assert tree["rows"] == manifest["triples"]["row_count"]
+    assert tree["bytes"] == sum(p.stat().st_size for p in triples.rglob("*.parquet"))
+    columns = tree["columns"]
+    assert set(columns) == {"subj", "pred", "obj", "obj_kind", "doc_id"}
+    assert 0 < sum(c["bytes"] for c in columns.values()) < tree["bytes"]
+    assert all(c["codecs"] == ["ZSTD"] for c in columns.values())
+    assert not columns["obj"]["dictionary"] and columns["subj"]["dictionary"]
+    assert columns["pred"]["statistics"] and not columns["obj"]["statistics"]
+
+    assert main([str(triples)]) == 0
+    out = capsys.readouterr().out
+    assert f"{tree['rows']:,} rows" in out and "obj " in out and "(total)" in out
+
+
 @pytest.mark.parametrize("damage", ["lost_file", "stray_duplicate", "legacy_marker"])
 def test_resume_rebuilds_docs_shard_whose_files_changed(pinned_run, tmp_path, damage):
     """A completed docs shard that lost a file, or gained a stray copy of
@@ -971,13 +1043,15 @@ def test_materialize_shard_writes_each_class_sorted(ray_session, tmp_path):
 def test_manifest_sink_retry_overwrites_its_own_files(tmp_path):
     """A retried write task (same ``ctx.task_idx``, same blocks) writes the
     same file names again: the files, their count, the returned partials and
-    the folded manifest all come out the same as after the first attempt."""
+    the folded manifest all come out the same as after the first attempt —
+    for a triple shard and for a docs shard."""
     import types
 
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from esmarc_ray.stages.materialize import ManifestParquetSink, _fold_manifest
+    from esmarc_ray.stages.extract import DOC_SCHEMA
+    from esmarc_ray.stages.materialize import DOCS, ManifestParquetSink, _fold_manifest, _xor_crc
 
     blocks = [
         pa.table(
@@ -1001,25 +1075,49 @@ def test_manifest_sink_retry_overwrites_its_own_files(tmp_path):
             }
         ),
     ]
-    out = tmp_path / "shard"
-    sink = ManifestParquetSink(out, ["entity_class"])
+    docs = pa.table(
+        {
+            "doc_id": ["d1", "d2", "d3"],
+            "entity_class": ["persons", "_dropped", "geo"],
+            "canon_key": ["gnd:1", "", "id:x"],
+            "doc_json": ['{"@id": "p1"}', "", '{"@id": "g1"}'],
+            "gnd_ids": [["1"], [], []],
+            "error": ["", "", ""],
+        },
+        schema=DOC_SCHEMA,
+    )
     ctx = types.SimpleNamespace(task_idx=3)
 
-    def snapshot():
-        files = sorted(p.relative_to(out) for p in out.rglob("*.parquet"))
-        contents = {str(p): pq.read_table(out / p).to_pylist() for p in files}
-        return files, contents
+    def write_twice(out, sink, blocks):
+        def snapshot():
+            files = sorted(p.relative_to(out) for p in out.rglob("*.parquet"))
+            contents = {str(p): pq.read_table(out / p).to_pylist() for p in files}
+            return files, contents
 
-    first = sink.write(blocks, ctx)
-    files_first, contents_first = snapshot()
-    manifest_first = _fold_manifest(first, out, ["in"], 0.0)
-    retried = sink.write(blocks, ctx)
-    files_retried, contents_retried = snapshot()
-    manifest_retried = _fold_manifest(retried, out, ["in"], 0.0)
+        first = sink.write(blocks, ctx)
+        files_first, contents_first = snapshot()
+        manifest_first = _fold_manifest(first, out, ["in"], 0.0)
+        retried = sink.write(blocks, ctx)
+        files_retried, contents_retried = snapshot()
+        manifest_retried = _fold_manifest(retried, out, ["in"], 0.0)
 
-    assert files_retried == files_first
-    assert len(files_retried) == len(files_first) == 3
-    assert contents_retried == contents_first
-    assert retried == first
-    assert manifest_retried == manifest_first
-    assert manifest_first["row_count"] == 7
+        assert files_retried == files_first
+        assert contents_retried == contents_first
+        assert retried == first
+        assert manifest_retried == manifest_first
+        return files_first, manifest_first
+
+    out = tmp_path / "shard"
+    files, manifest = write_twice(out, ManifestParquetSink(out, ["entity_class"]), blocks)
+    assert len(files) == 3
+    assert manifest["row_count"] == 7
+
+    # a docs shard: unpartitioned, one file per block, hashed over every doc column
+    docs_out = tmp_path / "docs_shard"
+    files, manifest = write_twice(
+        docs_out, ManifestParquetSink(docs_out, DOCS.partition_cols, table=DOCS), [docs, docs.slice(1)]
+    )
+    assert [str(f) for f in files] == ["part-00003-0-0.parquet", "part-00003-1-0.parquet"]
+    assert manifest["row_count"] == 5
+    assert manifest["rows_per_class"] == {"persons": 1, "_dropped": 2, "geo": 2}
+    assert manifest["content_hash"] == _xor_crc(docs.slice(0, 1), DOCS.hash_cols)
