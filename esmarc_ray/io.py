@@ -148,11 +148,13 @@ def read_checkpoint(files: list[str]) -> ray.data.Dataset:
 
 
 def write_table(ds: ray.data.Dataset, path: str, *, format: str = "parquet", **kwargs: Any) -> None:
-    """Write ``ds`` under ``path``.  As parquet it is a docs-shaped
-    checkpoint (the ``canonical/`` checkpoint): unpartitioned, through the
-    pipeline's one parquet sink at :data:`CHECKPOINT_ENCODING`, one
-    deterministically named file per block.  ``kwargs`` are ``write_lance``
-    options."""
+    """Write ``ds`` under ``path``.  As parquet it is a docs-shaped table
+    without a manifest: unpartitioned, through the pipeline's one parquet
+    sink at :data:`CHECKPOINT_ENCODING`, one deterministically named file
+    per block.  ``run_kg_pipeline``'s checkpoints (``docs/``,
+    ``canonical/``) do not come through here: they are written with
+    ``materialize_shard(..., sort=False, table=DOCS)``, which adds the
+    manifest and marker.  ``kwargs`` are ``write_lance`` options."""
     if format == "lance" and HAVE_LANCE:
         ds.write_lance(path, **kwargs)
     else:

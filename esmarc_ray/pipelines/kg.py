@@ -15,12 +15,18 @@ lineage"):
   files still hold exactly the recorded row count;
 * the wide half (canonicalize → sort → materialize) streams over the
   intermediate docs tables (much smaller than the raw spans) and writes the
-  final triple table with its own manifest + marker.  It reads the docs
-  (and, with ``jsonld=True``, the ``canonical/`` checkpoint) back with
+  final triple table with its own manifest + marker (with ``jsonld=True``
+  the ``canonical/`` checkpoint too, through the docs sink).  It reads the
+  docs (and, with ``jsonld=True``, ``canonical/``) back with
   :func:`esmarc_ray.io.read_checkpoint`: one block per file phase 1 wrote,
   so the block count — and with it every later stage's task count — follows
   the checkpoint's files, not Ray's 1-MiB default read split.  Phase 1's
   span read keeps that split: it is each shard's extract parallelism.
+
+Dead letters (``_error`` and ``_dropped`` docs) stop at the docs
+checkpoint: canonicalize drops them, so the run manifest's
+``dead_letters`` counts, folded from the docs shards' manifests, are the
+only place they surface after phase 1.
 
 Everything between stages is streaming Dataset execution — no driver-side
 materialization of data, only of file lists and manifests.
@@ -36,7 +42,7 @@ import ray
 import ray.data
 
 from esmarc_ray.config import DEFAULT_CONFIG, EngineConfig
-from esmarc_ray.io import read_checkpoint, read_documents, write_table
+from esmarc_ray.io import read_checkpoint, read_documents
 from esmarc_ray.stages.canonicalize import canonicalize
 from esmarc_ray.stages.extract import docs_to_triples, extract_docs
 from esmarc_ray.stages.link import build_link_indexes, link_entities
@@ -54,6 +60,17 @@ def _input_shards(input_path: str, num_shards: int) -> list[list[str]]:
         raise FileNotFoundError(f"no parquet files under {input_path}")
     num_shards = min(num_shards, len(files))
     return [files[i::num_shards] for i in range(num_shards)]
+
+
+def _dead_letters(docs_dir: pathlib.Path, num_shards: int) -> dict[str, int]:
+    """``_error`` and ``_dropped`` row counts over every docs shard, built or
+    resumed alike, folded from the shards' manifests (no data is read)."""
+    counts = {"_error": 0, "_dropped": 0}
+    for k in range(num_shards):
+        manifest = json.loads((docs_dir / f"shard={k:05d}" / "_manifest.json").read_text())
+        for cls in counts:
+            counts[cls] += manifest["rows_per_class"].get(cls, 0)
+    return counts
 
 
 def extract_and_link(
@@ -130,16 +147,15 @@ def run_kg_pipeline(
         # two consumers of the canonical stream (LDJ sink + triples) — park
         # it in a parquet checkpoint so the wide phase runs once, not twice
         canon_dir = out / "canonical"
-        if canon_dir.exists():
-            shutil.rmtree(canon_dir)
-        write_table(canonical, str(canon_dir))
+        canon_manifest = materialize_shard(canonical, canon_dir, sort=False, table=DOCS)
         canonical = read_checkpoint(sorted(str(p) for p in canon_dir.glob("*.parquet")))
 
         from esmarc_ray.io import write_jsonld
 
-        # write_table/write_jsonld file names are unique per run — wipe the
-        # sink dir (like canonical/ and the triple shards) or a resumed run
-        # would accumulate a second copy of every .ldj stream
+        # write_jsonld file names are unique per run — wipe the sink dir
+        # (materialize_shard does the same for canonical/ and the triple
+        # shards) or a resumed run would accumulate a second copy of every
+        # .ldj stream
         jsonld_dir = out / "jsonld"
         if jsonld_dir.exists():
             shutil.rmtree(jsonld_dir)
@@ -167,9 +183,11 @@ def run_kg_pipeline(
         "input_path": input_path,
         "num_shards": len(shards),
         "shards": shard_status,
+        "dead_letters": _dead_letters(docs_dir, len(shards)),
         "triples": manifest,
     }
     if jsonld_summary is not None:
+        run_manifest["canonical"] = {"row_count": canon_manifest["row_count"]}
         run_manifest["jsonld"] = jsonld_summary
     (out / "_run_manifest.json").write_text(json.dumps(run_manifest, indent=1, sort_keys=True))
     return run_manifest

@@ -19,12 +19,12 @@ the north rule's addition.  Design:
 
 Physical plan: the natural ``groupby(canon_key).map_groups(merge)`` spends
 one UDF task + one Arrow table per group — ruinous with ~1 group per input
-row (millions of one-doc entities).  Instead the merge hash-partitions on
-``hash(key) % num_partitions`` (the engine's one exchange: the id column
-comes from ``ops.relational.hash_partition`` batch-side and the reducer runs
-through ``reduce_partitions``), groups on the PARTITION id — so the shuffle
-moves the same bytes but the reducer runs once per partition — and merges
-all key-runs inside a partition in plain Python.
+row (millions of one-doc entities).  Instead every merge is one
+``ops.relational.partitioned_final`` call, the engine's one exchange: it
+hash-partitions the plain doc rows on ``hash(key) % num_partitions`` and
+groups on the PARTITION id — so the shuffle moves the same bytes but the
+reducer runs once per partition — and merges all key-runs inside a
+partition in plain Python.
 ``num_partitions`` bounds reducer memory at ~|input|/P rows; at cluster
 scale raise it with the data (it is the analogue of Spark's
 ``spark.sql.shuffle.partitions``).
@@ -47,6 +47,7 @@ from esmarc_ray.ops.relational import (
     partitioned_final,
     reduce_partitions,
 )
+from esmarc_ray.stages.extract import DOC_SCHEMA
 from esmarc_ray.values import merge_value, to_json
 
 MERGEABLE = ("sameAs", "about", "mentions", "_merged_from")
@@ -120,181 +121,6 @@ def merge_docs(docs: list[tuple[str, dict]]) -> tuple[str, dict]:
     return rep_id, merged
 
 
-def _make_add_part(num_partitions: int, n_salts: int | None):
-    """Stateless batch fn adding the hash-partition id over (canon_key[, salt])
-    — the tag step of the exchange; the salt is itself a hash partition of
-    ``doc_id`` into ``n_salts`` buckets."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = ["canon_key"]
-        if n_salts:
-            salts = hash_partition(batch, "doc_id", n_salts)
-            batch = batch.append_column("salt", pa.array(salts, pa.int32()))
-            keys.append("salt")
-        parts = hash_partition(batch, keys, num_partitions)
-        return batch.append_column(PART, pa.array(parts, pa.int32()))
-
-    return add_part
-
-
-# shuffle-payload compression: the doc JSON dominates the canonicalize
-# exchange (~3.2 KB/doc raw) — the map side PACKS each batch's rows into one
-# super-row per destination partition: doc_json texts concatenate and
-# compress with ONE zstd call per (batch × part) while the narrow metadata
-# columns ride as list columns.  vs a per-row codec this removes the
-# row-at-a-time compress loop from the hottest exchange, compresses ACROSS
-# docs (repeated JSON keys/URIs amortize) and cuts shuffle row count by
-# ~batch_size/P.  zstd level 1 (Arrow's codec) compresses packed doc runs
-# about three times as fast as deflate level 1, to a blob about 14% smaller.
-# The reducer (_merge_partition) unpacks transparently.
-PAYLOAD_COMPRESS_LEVEL = 1
-
-
-def _payload_codec() -> pa.Codec:
-    # built per call: an Arrow codec does not pickle, so none is kept at
-    # module level where a pickled-by-value UDF could capture it
-    return pa.Codec("zstd", compression_level=PAYLOAD_COMPRESS_LEVEL)
-
-
-_PACKED_FIXED = [
-    (PART, pa.int32()),
-    ("packed_blob", pa.binary()),
-    ("packed_lens", pa.list_(pa.int32())),
-    ("doc_id", pa.list_(pa.string())),
-    ("entity_class", pa.list_(pa.string())),
-    ("canon_key", pa.list_(pa.string())),
-    ("gnd_ids", pa.list_(pa.list_(pa.string()))),
-    ("error", pa.list_(pa.string())),
-]
-
-
-def _packed_schema(has_links: bool, has_salt: bool) -> pa.Schema:
-    fields = list(_PACKED_FIXED)
-    if has_salt:
-        fields.append(("salt", pa.list_(pa.int32())))
-    if has_links:
-        fields.append(("n_links_added", pa.list_(pa.int64())))
-    return pa.schema(fields)
-
-
-def _pack_compress(batch: pa.Table) -> pa.Table:
-    """Pack a part-keyed doc batch into one compressed super-row per
-    destination partition (see module comment above) — the map side of every
-    canonicalize exchange.  Requires the ``__part`` column; no-op on batches
-    that lack it.
-
-    Fully vectorized: one Arrow ``take`` gathers every column into
-    part-sorted order, the metadata list columns are built zero-copy from
-    the run offsets (``ListArray.from_arrays``), and the doc_json payload is
-    sliced per run straight out of the string column's UTF-8 data buffer
-    (Arrow string offsets ARE the byte offsets) — no per-row Python gather
-    anywhere; only the zstd call itself runs once per (batch × part)."""
-    names = batch.schema.names
-    if "doc_json" not in names or PART not in names:
-        return batch
-    has_links = "n_links_added" in names
-    has_salt = "salt" in names
-    schema = _packed_schema(has_links, has_salt)
-    if batch.num_rows == 0:
-        return schema.empty_table()
-
-    import numpy as np
-
-    parts = batch.column(PART).to_numpy(zero_copy_only=False)
-    order = np.argsort(parts, kind="stable")
-    sorted_tbl = batch.take(pa.array(order, pa.int64()))
-    parts_sorted = parts[order]
-    n = len(parts_sorted)
-    run_starts = np.flatnonzero(np.diff(parts_sorted)) + 1
-    offsets = np.concatenate(([0], run_starts, [n])).astype(np.int32)
-    part_vals = parts_sorted[offsets[:-1]].astype(np.int32)
-
-    sj = sorted_tbl.column("doc_json")
-    if isinstance(sj, pa.ChunkedArray):
-        sj = sj.combine_chunks()
-    off_dtype = np.int64 if pa.types.is_large_string(sj.type) else np.int32
-    str_offs = np.frombuffer(sj.buffers()[1], dtype=off_dtype)[
-        sj.offset : sj.offset + len(sj) + 1
-    ]
-    data = memoryview(sj.buffers()[2])
-    row_lens = np.diff(str_offs).astype(np.int32)
-    codec = _payload_codec()
-    blobs = [
-        codec.compress(data[str_offs[a] : str_offs[b]], asbytes=True)
-        for a, b in zip(offsets[:-1], offsets[1:])
-    ]
-
-    off_arr = pa.array(offsets, pa.int32())
-
-    def runs(values: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        if isinstance(values, pa.ChunkedArray):
-            values = values.combine_chunks()
-        return pa.ListArray.from_arrays(off_arr, values)
-
-    columns = {
-        PART: pa.array(part_vals, pa.int32()),
-        "packed_blob": pa.array(blobs, pa.binary()),
-        "packed_lens": runs(pa.array(row_lens, pa.int32())),
-        "doc_id": runs(sorted_tbl.column("doc_id")),
-        "entity_class": runs(sorted_tbl.column("entity_class")),
-        "canon_key": runs(sorted_tbl.column("canon_key")),
-        "gnd_ids": runs(sorted_tbl.column("gnd_ids")),
-        "error": runs(sorted_tbl.column("error")),
-    }
-    if has_salt:
-        columns["salt"] = runs(sorted_tbl.column("salt").cast(pa.int32()))
-    if has_links:
-        columns["n_links_added"] = runs(
-            pc.fill_null(sorted_tbl.column("n_links_added"), 0).cast(pa.int64())
-        )
-    return pa.Table.from_pydict(columns, schema=schema)
-
-
-def _unpack_rows(batch: pa.Table) -> pa.Table:
-    """Inverse of :func:`_pack_compress` — back to one plain row per doc
-    (salt column retained; the partition id is not restored, the reducer
-    never reads it).  No-op on plain batches.
-
-    Metadata columns restore ZERO-COPY via Arrow list-flatten; only the
-    doc_json strings are rebuilt (decompress one blob per super-row, slice
-    by offsets)."""
-    if "packed_blob" not in batch.schema.names:
-        return batch
-    has_links = "n_links_added" in batch.schema.names
-    has_salt = "salt" in batch.schema.names
-
-    def flat(name: str):
-        return pc.list_flatten(batch.column(name))
-
-    texts: list[str] = []
-    blobs = batch.column("packed_blob").to_pylist()
-    lens_lists = batch.column("packed_lens").to_pylist()
-    codec = _payload_codec()
-    for blob, row_lens in zip(blobs, lens_lists):
-        raw = codec.decompress(blob, decompressed_size=sum(row_lens), asbytes=True)
-        pos = 0
-        for length in row_lens:
-            texts.append(raw[pos : pos + length].decode())
-            pos += length
-
-    arrays = [
-        flat("doc_id"),
-        flat("entity_class"),
-        flat("canon_key"),
-        pa.array(texts, pa.string()),
-        flat("gnd_ids"),
-        flat("error"),
-    ]
-    names = ["doc_id", "entity_class", "canon_key", "doc_json", "gnd_ids", "error"]
-    if has_salt:
-        arrays.append(flat("salt").cast(pa.int32()))
-        names.append("salt")
-    if has_links:
-        arrays.append(flat("n_links_added").cast(pa.int64()))
-        names.append("n_links_added")
-    return pa.Table.from_arrays(arrays, names=names)
-
-
 def _merge_partition(batch: pa.Table) -> pa.Table:
     """One reducer call per hash partition: merge every (canon_key[, salt])
     run inside it.  Plain-Python grouping — no per-group Arrow overhead.
@@ -303,10 +129,8 @@ def _merge_partition(batch: pa.Table) -> pa.Table:
     via plain ``map_batches`` before any shuffle): same associative merge,
     zero-copy pass-through when a batch holds no duplicate keys.
 
-    Accepts either a plain ``doc_json`` batch or a packed one (the reduce
-    side of a packed-compressed exchange, see :func:`_pack_compress`);
-    always emits plain ``doc_json``."""
-    batch = _unpack_rows(batch)
+    Takes and emits ``DOC_SCHEMA`` rows (plus ``n_links_added`` after
+    linking, and on input the salted plan's ``salt``, which it drops)."""
     names = batch.schema.names
     keys = batch.column("canon_key").to_pylist()
     if len(set(keys)) == len(keys):
@@ -365,30 +189,10 @@ def _merge_partition(batch: pa.Table) -> pa.Table:
         if has_links:
             out["n_links_added"].append(int(n_links))
 
-    from esmarc_ray.stages.extract import DOC_SCHEMA
-
     schema = DOC_SCHEMA
     if has_links:
         schema = schema.append(pa.field("n_links_added", pa.int64()))
     return pa.Table.from_pydict(out, schema=schema)
-
-
-def _partition_merge(
-    docs: ray.data.Dataset, *, num_partitions: int, n_salts: int | None
-) -> ray.data.Dataset:
-    keyed = docs.map_batches(
-        _make_add_part(num_partitions, n_salts),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).map_batches(
-        # pack + compress per destination partition: the all-to-all moves
-        # one zstd-compressed super-row per (source batch × part) instead of
-        # per-doc payload rows (see _pack_compress)
-        _pack_compress,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return reduce_partitions(keyed, _merge_partition, batch_format="pyarrow")
 
 
 @derive_width
@@ -618,9 +422,8 @@ def canonicalize(
       BATCH-LOCAL combiner (``map_batches`` of the same associative merge,
       zero shuffle) collapses each batch's duplicate keys — a head entity at
       x% corpus frequency shrinks by its per-batch occupancy — then ONE
-      hash-partitioned final merge.  Halves shuffle bytes vs the salted plan
-      and neutralizes head-key stragglers without a frequency sketch;
-      ``n_salts`` and ``salted`` are ignored.
+      hash-partitioned final merge.  Neutralizes head-key stragglers
+      without a frequency sketch; ``n_salts`` and ``salted`` are ignored.
     * ``precombine=False, salted=True``: two-phase salted partial (``n_salts``
       salts per key) → final merge, two full shuffles.
     * ``precombine=False, salted=False``: single-shuffle variant — the
@@ -645,14 +448,21 @@ def canonicalize(
         mapping = closure_keys(live, num_partitions=max(16, num_partitions // 16))
         live = _rewrite_keys(live, mapping, num_partitions=max(16, num_partitions // 16))
     if precombine:
-        # batch-local combiner; the payload packing/compression happens
-        # inside _partition_merge after partition ids are assigned (Ray
-        # fuses the three map stages into one task)
-        combined = live.map_batches(
+        # batch-local combiner (Ray fuses it with the exchange's tag step)
+        live = live.map_batches(
             _merge_partition, batch_format="pyarrow", zero_copy_batch=True
         )
-        return _partition_merge(combined, num_partitions=num_partitions, n_salts=None)
-    if salted:
-        partial = _partition_merge(live, num_partitions=num_partitions, n_salts=n_salts)
-        return _partition_merge(partial, num_partitions=num_partitions, n_salts=None)
-    return _partition_merge(live, num_partitions=num_partitions, n_salts=None)
+    elif salted:
+
+        def add_salt(batch: pa.Table) -> pa.Table:
+            salts = hash_partition(batch, "doc_id", n_salts)
+            return batch.append_column("salt", pa.array(salts, pa.int32()))
+
+        live = partitioned_final(
+            live.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True),
+            ["canon_key", "salt"], _merge_partition, num_partitions,
+            batch_format="pyarrow",
+        )
+    return partitioned_final(
+        live, ["canon_key"], _merge_partition, num_partitions, batch_format="pyarrow"
+    )

@@ -140,8 +140,11 @@ def extract_docs(
 
 
 def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096, **map_kwargs: Any) -> ray.data.Dataset:
-    """Entity docs → (subj, pred, obj) triple dataset; dead-letter rows keep
-    flowing as ``pred="_error"`` triples so nothing is silently lost."""
+    """Entity docs → (subj, pred, obj) triple dataset.  An ``_error`` row
+    becomes one ``pred="_error"`` triple and a ``_dropped`` row none.
+    ``run_kg_pipeline`` and ``entry()`` pass canonicalized docs, which hold
+    neither: canonicalize drops dead letters, and the pipeline counts them
+    from its docs checkpoint (the run manifest's ``dead_letters``)."""
 
     def flatten(batch: pa.Table) -> pa.Table:
         cols: dict[str, list] = {name: [] for name in TRIPLE_SCHEMA.names}

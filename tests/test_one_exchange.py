@@ -137,7 +137,9 @@ def test_allowlists_name_live_sites():
 
 
 def test_one_partition_hash_and_one_reduce():
-    """The per-module copies of the partition hash are gone."""
+    """The per-module copies of the partition hash are gone, and so are
+    canonicalize's own exchange (tag step, reduce wrapper) and the packed
+    zstd row format it shipped."""
     from esmarc_ray.ops import graph, kg_embed, relational
     from esmarc_ray.stages import canonicalize
 
@@ -147,5 +149,13 @@ def test_one_partition_hash_and_one_reduce():
         (graph, "_part_series"),
         (kg_embed, "_part_of"),
         (canonicalize, "_hash_mod_col"),
+        (canonicalize, "_make_add_part"),
+        (canonicalize, "_partition_merge"),
+        (canonicalize, "_pack_compress"),
+        (canonicalize, "_unpack_rows"),
+        (canonicalize, "_payload_codec"),
+        (canonicalize, "_packed_schema"),
+        (canonicalize, "_PACKED_FIXED"),
+        (canonicalize, "PAYLOAD_COMPRESS_LEVEL"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name} is back"

@@ -256,6 +256,75 @@ def test_docs_checkpoint_records_real_row_counts(pinned_run):
     ) == PINNED_SPEC.n_docs
 
 
+def _docs_class_counts(docs_dir: pathlib.Path) -> dict[str, int]:
+    import pyarrow.parquet as pq
+
+    counts: dict[str, int] = {}
+    for path in sorted(docs_dir.glob("shard=*/*.parquet")):
+        for cls in pq.read_table(path, columns=["entity_class"]).column(0).to_pylist():
+            counts[cls] = counts.get(cls, 0) + 1
+    return counts
+
+
+def _assert_dead_letters(in_dir, out, tables, manifest, num_shards) -> dict:
+    """The run manifest's dead-letter counts equal the ``_error`` and
+    ``_dropped`` rows in ``docs/``, on the given run and on a fully resumed
+    rerun into a copy of its docs checkpoint."""
+    counts = _docs_class_counts(out / "docs")
+    expected = {"_error": counts.get("_error", 0), "_dropped": counts.get("_dropped", 0)}
+    assert manifest["dead_letters"] == expected
+
+    rerun = out.parent / "resumed"
+    shutil.copytree(out / "docs", rerun / "docs")
+    resumed = run_kg_pipeline(
+        str(in_dir), str(rerun), link_tables=tables, num_shards=num_shards
+    )
+    assert {s["status"] for s in resumed["shards"]} == {"skipped(resume)"}
+    assert resumed["dead_letters"] == expected
+    written = json.loads((rerun / "_run_manifest.json").read_text())
+    assert written["dead_letters"] == expected
+    return expected
+
+
+def test_run_manifest_counts_dead_letters(pinned_run, tmp_path):
+    """The pinned corpus maps every record: zero dead letters, counted."""
+    run_dir, tables, manifest = pinned_run
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out" / "docs", out / "docs")
+    expected = _assert_dead_letters(run_dir / "in", out, tables, manifest, 2)
+    assert expected == {"_error": 0, "_dropped": 0}
+
+
+def test_dead_letters_stop_at_the_docs_checkpoint(ray_session, tmp_path):
+    """One record with an unknown 079$b (dropped) and one authority record
+    without 079 (mapping raises) next to clean records: both are counted in
+    the run manifest and neither reaches the triples."""
+    import copy
+
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.codec import records_to_table
+    from esmarc_ray.corpus import make_record
+
+    records = [make_record(i, PINNED_SPEC) for i in range(13)]
+    dropped = copy.deepcopy(records[6][1])  # an authority record
+    dropped["079"] = [{"__": [{"a": "g"}, {"b": "zz"}]}]
+    failing = copy.deepcopy(records[7][1])
+    del failing["079"]
+    records += [("dead-dropped", dropped), ("dead-error", failing)]
+    (tmp_path / "in").mkdir()
+    pq.write_table(records_to_table(records), tmp_path / "in" / "part-00000.parquet")
+
+    tables = link_tables(PINNED_SPEC)
+    out = tmp_path / "out"
+    manifest = run_kg_pipeline(
+        str(tmp_path / "in"), str(out), link_tables=tables, num_shards=1
+    )
+    expected = _assert_dead_letters(tmp_path / "in", out, tables, manifest, 1)
+    assert expected == {"_error": 1, "_dropped": 1}
+    assert not set(manifest["triples"]["rows_per_class"]) & set(expected)
+
+
 def test_kg_files_follow_the_encoding_policy(pinned_run):
     """Footer-level pins on a pipeline run's triple and docs files: every
     column chunk is zstd, the JSON/text columns ``obj`` and ``doc_json``
@@ -524,6 +593,28 @@ def test_jsonld_sink_rerun_does_not_accumulate(ray_session, corpus_dir, tmp_path
         len(f.read_text().splitlines()) for f in (out / "jsonld").glob("*/*.ldj")
     )
     assert n_lines == m2["jsonld"]["n_docs"]
+
+
+def test_canonical_checkpoint_has_a_manifest(ray_session, corpus_dir, tmp_path):
+    """Under ``jsonld=True`` the ``canonical/`` checkpoint is written like a
+    docs shard: manifest and marker hold its footer row count, which the run
+    manifest reports and which equals the docs the JSON-LD sink wrote."""
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.stages.materialize import shard_is_complete
+
+    path, spec = corpus_dir
+    out = tmp_path / "run"
+    manifest = run_kg_pipeline(
+        path, str(out), link_tables=link_tables(spec), num_shards=2, jsonld=True
+    )
+    canon = out / "canonical"
+    footer_rows = sum(pq.read_metadata(p).num_rows for p in canon.glob("*.parquet"))
+    assert footer_rows > 0
+    assert manifest["canonical"]["row_count"] == footer_rows
+    assert manifest["canonical"]["row_count"] == manifest["jsonld"]["n_docs"]
+    assert json.loads((canon / "_manifest.json").read_text())["row_count"] == footer_rows
+    assert shard_is_complete(canon)
 
 
 def test_extract_prune_equivalence(ray_session, corpus_dir):
