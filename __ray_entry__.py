@@ -3248,8 +3248,9 @@ def q_kg_canonical_split(sf_dir: str):
     """Same canonical entity set through the production pre-combine plan
     (``precombine=True``), over its own mirror, oracle-checked against the
     same independent SQL derivation.  The name outlived the dup-key split
-    plan it once ran; equality of the pre-combine, salted and unsalted plans
-    is pytest-gated (test_canonicalize_salted_equals_unsalted)."""
+    plan it once ran; canonicalize has one plan now, and its equality with
+    the single-shuffle reference and a driver-side ``merge_docs`` reference
+    is pytest-gated (test_canonicalize_plans_match_driver_reference)."""
     return _kg_canonical_with_mirror(sf_dir, "keyed_docs_split", precombine=True)
 
 

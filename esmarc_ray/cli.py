@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Any
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -59,6 +60,18 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def restrict_to_ids(query: Any, ids: "list[str] | None") -> Any:
+    """AND a ``("doc_id", "in", ids)`` conjunct into every clause of the
+    ``-query`` prefilter, so ``-id`` and ``-idfile`` restrict the same
+    pushed-down scan in debug and batch mode."""
+    from esmarc_ray.io import query_clauses
+
+    if ids is None:
+        return query
+    conjunct = ("doc_id", "in", list(ids))
+    return [[*clause, conjunct] for clause in query_clauses(query)] or [[conjunct]]
+
+
 def run(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
 
@@ -74,18 +87,19 @@ def run(argv: list[str] | None = None) -> int:
 
     config = EngineConfig(base_id=args.base_id_src, target_id=args.target_id)
 
-    doc_ids = None
+    ids = None
     if args.id:
-        doc_ids = [args.id]
+        ids = [args.id]
     elif args.idfile:
         with open(args.idfile) as fh:
-            doc_ids = [line.strip() for line in fh if line.strip()]
+            ids = [line.strip() for line in fh if line.strip()]
+    query = restrict_to_ids(args.query, ids)
 
     if args.debug or args.id:
         # single-id / debug mode: print mapped docs as JSON lines
         # (reference esmarc/esmarc.py:258-265 — minus its TypeError bug)
         docs = extract_docs(
-            read_documents(args.input, doc_ids=doc_ids, query=args.query), config
+            read_documents(args.input, query=query), config
         )
         for row in docs.iter_rows():
             if row["entity_class"].startswith("_"):
@@ -105,7 +119,7 @@ def run(argv: list[str] | None = None) -> int:
         config=config,
         num_shards=args.shards,
         jsonld=args.jsonld,
-        query=args.query,
+        query=query,
     )
     print(json.dumps(manifest, indent=1, sort_keys=True))
     ray.shutdown()

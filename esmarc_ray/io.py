@@ -89,18 +89,23 @@ def compile_query_filter(query: Any) -> Any:
     """
     import pyarrow.parquet as pq
 
+    clauses = query_clauses(query)
+    return pq.filters_to_expression(clauses) if clauses else None
+
+
+def query_clauses(query: Any) -> list[list[tuple]]:
+    """A JSON query prefilter (see :func:`compile_query_filter`) as a
+    disjunction of conjunctions of ``(col, op, value)`` tuples; ``[]`` for
+    no prefilter."""
     if isinstance(query, str):
         import json
 
         query = json.loads(query)
     if not query:
-        return None
-    # normalize JSON lists to the tuple shape filters_to_expression expects
+        return []
     if all(isinstance(f, (list, tuple)) and len(f) == 3 and isinstance(f[0], str) for f in query):
-        filters = [tuple(f) for f in query]
-    else:
-        filters = [[tuple(f) for f in clause] for clause in query]
-    return pq.filters_to_expression(filters)
+        return [[tuple(f) for f in query]]
+    return [[tuple(f) for f in clause] for clause in query]
 
 
 def read_documents(

@@ -473,9 +473,14 @@ TRIPLE_COLUMNS = ("subj", "pred", "obj", "obj_kind", "entity_class", "doc_id")
 def doc_to_triple_columns(
     doc_id: str, entity: str, doc: dict, cols: dict[str, list]
 ) -> None:
-    """Columnar twin of :func:`doc_to_triples`: append straight into the six
-    output column lists (``cols`` keyed subj/pred/obj/obj_kind/entity_class/
-    doc_id) — the hot flatten stage pays no per-row dicts."""
+    """Flatten a mapped JSON-LD doc to (subj, pred, obj, obj_kind) rows,
+    appended straight into the six output column lists (``cols`` keyed by
+    :data:`TRIPLE_COLUMNS`) — the hot flatten stage pays no per-row dicts.
+
+    ``obj_kind``: "literal" for strings, "node" for nested objects (canonical
+    JSON), "list" never appears — list values emit one triple per element.
+    The subject is the doc's @id (falling back to the doc_id).
+    """
     subj = doc.get("@id") or doc_id
     subj_l, pred_l, obj_l = cols["subj"], cols["pred"], cols["obj"]
     kind_l, ent_l, did_l = cols["obj_kind"], cols["entity_class"], cols["doc_id"]
@@ -498,35 +503,10 @@ def doc_to_triple_columns(
 
 
 def doc_to_triples(doc_id: str, entity: str, doc: dict) -> list[dict[str, str]]:
-    """Flatten a mapped JSON-LD doc to (subj, pred, obj, obj_kind) rows.
-
-    ``obj_kind``: "literal" for strings, "node" for nested objects (canonical
-    JSON), "list" never appears — list values emit one triple per element.
-    The subject is the doc's @id (falling back to the doc_id).
-    """
-    subj = doc.get("@id") or doc_id
-    rows: list[dict[str, str]] = []
-    for pred, value in doc.items():
-        if pred == "@id":
-            continue
-        for element in value if isinstance(value, list) else [value]:
-            if isinstance(element, (dict, list)):
-                obj = to_json(element)
-                kind = "node"
-            else:
-                obj = str(element)
-                kind = "literal"
-            rows.append(
-                {
-                    "subj": subj,
-                    "pred": pred,
-                    "obj": obj,
-                    "obj_kind": kind,
-                    "entity_class": entity,
-                    "doc_id": doc_id,
-                }
-            )
-    return rows
+    """Row form of :func:`doc_to_triple_columns`: one dict per triple."""
+    cols: dict[str, list] = {name: [] for name in TRIPLE_COLUMNS}
+    doc_to_triple_columns(doc_id, entity, doc, cols)
+    return [dict(zip(TRIPLE_COLUMNS, row)) for row in zip(*cols.values())]
 
 
 def triples_to_doc(triples: list[dict[str, str]]) -> dict:

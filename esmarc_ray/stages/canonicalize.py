@@ -4,15 +4,18 @@ The reference has NO cross-record operators (SURVEY.md §2.5) — this stage is
 the north rule's addition.  Design:
 
 * key: ``canon_key`` computed at extract time (GND id > ISIL+PPN > @id);
+* one schema: :func:`canonicalize` drops dead letters and projects and
+  casts its input to exactly ``DOC_SCHEMA`` once, so every merge step takes
+  and emits that one schema.  Columns a reader or an earlier stage adds (a
+  checkpoint's hive ``shard``, the linker's ``n_links_added``) and parquet's
+  ``list<element>`` spelling of ``gnd_ids`` never reach the exchange;
 * skew: head entities (ubiquitous GND subjects) make a naive
   ``groupby(canon_key)`` shuffle hot — so the production plan PRE-COMBINES:
   a batch-local merge collapses each input batch's duplicate keys before
   the one hash-partitioned final merge, so a hot key reaches its reducer
-  as at most one partial per source batch.  The ``precombine=False``
-  alternatives are a salted two-phase merge (``salt = hash(doc_id) %
-  n_salts`` splits a hot key across reducers, then a final merge on
-  ``canon_key`` alone) and the unsalted single-shuffle reference.
-  Associative + commutative merge ⇒ every plan agrees bit-for-bit (tested).
+  as at most one partial per source batch.  ``precombine=False`` is the
+  single-shuffle reference the tests hold the production plan to.
+  Associative + commutative merge ⇒ both plans agree bit-for-bit (tested).
 * merge semantics: representative = smallest doc_id (deterministic);
   predicates union with order-stable dedup; the merged doc records its
   members under ``_merged_from``.
@@ -34,19 +37,12 @@ from __future__ import annotations
 
 import json
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from esmarc_ray.config import derive_width
-from esmarc_ray.ops.relational import (
-    PART,
-    hash_partition,
-    partitioned_final,
-    reduce_partitions,
-)
+from esmarc_ray.ops.relational import PART, hash_partition, partitioned_final, reduce_partitions
 from esmarc_ray.stages.extract import DOC_SCHEMA
 from esmarc_ray.values import merge_value, to_json
 
@@ -73,8 +69,8 @@ def merge_docs(docs: list[tuple[str, dict]]) -> tuple[str, dict]:
 
     Plan-invariance: whenever a union actually GROWS the representative's
     list, the result is re-sorted by the element dedup key.  That makes the
-    merged list a pure function of the element SET — any merge tree (unsalted
-    single-phase, salted two-phase, block-local pre-combine) yields either
+    merged list a pure function of the element SET — any merge tree (the
+    single-shuffle reference, the block-local pre-combine) yields either
     the representative's raw order (nothing added) or ``sorted(final set)``,
     so every plan agrees bit-for-bit regardless of how docs were grouped.
     """
@@ -122,53 +118,33 @@ def merge_docs(docs: list[tuple[str, dict]]) -> tuple[str, dict]:
 
 
 def _merge_partition(batch: pa.Table) -> pa.Table:
-    """One reducer call per hash partition: merge every (canon_key[, salt])
-    run inside it.  Plain-Python grouping — no per-group Arrow overhead.
+    """One reducer call per hash partition: merge every canon_key run
+    inside it.  Plain-Python grouping — no per-group Arrow overhead.
 
     Also serves as the BATCH-LOCAL combiner of the pre-combine plan (applied
     via plain ``map_batches`` before any shuffle): same associative merge,
     zero-copy pass-through when a batch holds no duplicate keys.
 
-    Takes and emits ``DOC_SCHEMA`` rows (plus ``n_links_added`` after
-    linking, and on input the salted plan's ``salt``, which it drops)."""
-    names = batch.schema.names
+    Takes and emits exactly ``DOC_SCHEMA`` rows on both paths: the
+    pass-through returns its input, which :func:`canonicalize` has already
+    projected onto that schema."""
     keys = batch.column("canon_key").to_pylist()
     if len(set(keys)) == len(keys):
-        # fast path: every key unique — pass through (normalizing the link
-        # stage's int32 n_links_added so block schemas stay consistent)
-        if "salt" in names:
-            batch = batch.drop_columns(["salt"])
-        if "n_links_added" in batch.schema.names:
-            i = batch.schema.get_field_index("n_links_added")
-            if batch.schema.field(i).type != pa.int64():
-                batch = batch.set_column(
-                    i, "n_links_added", batch.column(i).cast(pa.int64())
-                )
         return batch
-    salts = batch.column("salt").to_pylist() if "salt" in names else None
     doc_ids = batch.column("doc_id").to_pylist()
     doc_jsons = batch.column("doc_json").to_pylist()
     gnd_lists = batch.column("gnd_ids").to_pylist()
     classes = batch.column("entity_class").to_pylist()
-    has_links = "n_links_added" in names
-    links = batch.column("n_links_added").to_pylist() if has_links else None
 
-    groups: dict = {}
+    groups: dict[str, list[int]] = {}
     for i, key in enumerate(keys):
-        groups.setdefault((key, salts[i]) if salts else key, []).append(i)
+        groups.setdefault(key, []).append(i)
 
-    out = {
-        "doc_id": [], "entity_class": [], "canon_key": [],
-        "doc_json": [], "gnd_ids": [], "error": [],
-    }
-    if has_links:
-        out["n_links_added"] = []
-    for group_key, idxs in groups.items():
-        canon = group_key[0] if salts else group_key
+    out: dict[str, list] = {name: [] for name in DOC_SCHEMA.names}
+    for canon, idxs in groups.items():
         if len(idxs) == 1:
             i = idxs[0]
             rep_id, doc_json, gnd_union = doc_ids[i], doc_jsons[i], list(gnd_lists[i] or [])
-            n_links = links[i] if has_links else 0
         else:
             pairs = [(doc_ids[i], json.loads(doc_jsons[i])) for i in idxs]
             rep_id, merged = merge_docs(pairs)
@@ -179,20 +155,13 @@ def _merge_partition(batch: pa.Table) -> pa.Table:
             gnd_union = gnd_union if isinstance(gnd_union, list) else [gnd_union]
             # canonical order — plan-invariant under any merge tree
             gnd_union = sorted(gnd_union)
-            n_links = sum(links[i] or 0 for i in idxs) if has_links else 0
         out["doc_id"].append(rep_id)
         out["entity_class"].append(classes[idxs[0]])
         out["canon_key"].append(canon)
         out["doc_json"].append(doc_json)
         out["gnd_ids"].append(gnd_union)
         out["error"].append("")
-        if has_links:
-            out["n_links_added"].append(int(n_links))
-
-    schema = DOC_SCHEMA
-    if has_links:
-        schema = schema.append(pa.field("n_links_added", pa.int64()))
-    return pa.Table.from_pydict(out, schema=schema)
+    return pa.Table.from_pydict(out, schema=DOC_SCHEMA)
 
 
 @derive_width
@@ -202,17 +171,18 @@ def closure_keys(
     num_partitions: int | None = None,
     max_rounds: int = 8,
 ) -> ray.data.Dataset:
-    """sameAs-closure key rewrite: (canon_key, canon_root) for every key that
-    is transitively linked to another through a shared identifier.
+    """sameAs-closure key map: (canon_key, canon_root) for every key that
+    carries a GND id, where keys transitively linked through shared
+    identifiers share one root.
 
     Builds the bipartite key↔identifier graph (one edge per GND id a doc
-    carries), runs distributed connected components (ops/graph.py), and maps
-    each component to its minimal member canon_key.  Keys with no shared
-    identifier never enter the graph and keep their own key (left join in
-    :func:`canonicalize`).
+    carries, identifier nodes spelled ``xid:gnd:<id>``) and runs distributed
+    connected components (ops/graph.py).  Its label is already the root:
+    the component's min node in string order, and every key (``gnd:``,
+    ``id:``, ``isil:``) sorts before every ``xid:`` node, so the label is
+    the component's min canon_key.  Keys with no GND id never enter the
+    graph and keep their own key (see :func:`_rewrite_keys`).
     """
-    import pandas as pd
-
     from esmarc_ray.ops.graph import connected_components
 
     def to_edges(batch: pa.Table) -> pa.Table:
@@ -227,114 +197,25 @@ def closure_keys(
         vs = pc.binary_join_element_wise("xid:gnd:", pc.cast(flat, pa.string()), "")
         return pa.table({"u": pc.cast(us, pa.string()), "v": vs})
 
+    def keep_keys(batch: pa.Table) -> pa.Table:
+        kept = batch.filter(pc.invert(pc.starts_with(batch.column("node"), "xid:")))
+        return pa.table({"canon_key": kept.column("node"), "canon_root": kept.column("component")})
+
     edges = docs.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-    comp = connected_components(
-        edges, num_partitions=num_partitions, max_rounds=max_rounds
-    )
-    _keys_schema = pa.schema([("node", pa.string()), ("component", pa.string())])
-    _reps_schema = pa.schema([("component", pa.string()), ("canon_root", pa.string())])
-
-    def keep_keys(batch: "pd.DataFrame") -> pa.Table:
-        kept = batch[~batch["node"].str.startswith("xid:")]
-        return pa.Table.from_pydict(
-            {"node": kept["node"].tolist(), "component": kept["component"].tolist()},
-            schema=_keys_schema,
-        )
-
-    keys_only = comp.map_batches(keep_keys, batch_format="pandas")
-
-    def partial_min(batch: "pd.DataFrame") -> "pd.DataFrame":
-        return batch.groupby("component", as_index=False, sort=False)["node"].min()
-
-    def final_min(part: "pd.DataFrame") -> pa.Table:
-        # one vectorized min per PARTITION of components (hash-partitioned),
-        # not one Ray map_groups dispatch per component
-        out = part.groupby("component", as_index=False, sort=False)["node"].min()
-        return pa.Table.from_pydict(
-            {"component": out["component"].tolist(), "canon_root": out["node"].tolist()},
-            schema=_reps_schema,
-        )
-
-    reps = partitioned_final(
-        keys_only.map_batches(partial_min, batch_format="pandas"),
-        ["component"],
-        final_min,
-        num_partitions=num_partitions,
-    )
-
-    # keys_only ⋈ reps on component — tag-union-partition join (Dataset.join
-    # crashes on hash partitions that receive no left-side blocks in this Ray
-    # version, so the repo's own partitioned-join pattern is used instead)
-    def tag(side: str, payload: str):
-        def fn(df: "pd.DataFrame") -> "pd.DataFrame":
-            return pd.DataFrame(
-                {
-                    "component": df["component"], "payload": df[payload], "side": side,
-                    PART: hash_partition(df, "component", num_partitions),
-                }
-            )
-
-        return fn
-
-    def join_partition(part: "pd.DataFrame") -> "pd.DataFrame":
-        keys = part[part["side"] == "k"][["component", "payload"]].rename(
-            columns={"payload": "canon_key"}
-        )
-        rep = part[part["side"] == "r"][["component", "payload"]].rename(
-            columns={"payload": "canon_root"}
-        )
-        if keys.empty or rep.empty:
-            return pd.DataFrame(
-                {"canon_key": pd.Series(dtype="object"), "canon_root": pd.Series(dtype="object")}
-            )
-        merged = keys.merge(rep, on="component", how="inner")
-        return merged[["canon_key", "canon_root"]]
-
-    tagged = keys_only.map_batches(tag("k", "node"), batch_format="pandas").union(
-        reps.map_batches(tag("r", "canon_root"), batch_format="pandas")
-    )
-    return reduce_partitions(tagged, join_partition)
+    comp = connected_components(edges, num_partitions=num_partitions, max_rounds=max_rounds)
+    return comp.map_batches(keep_keys, batch_format="pyarrow")
 
 
-# the alias map this worker process resolved last: (map object id, dict) —
-# at most one entry, replaced when a later rewrite broadcasts another map.
-# Keyed by the ref's id, not the ref, so an idle worker does not keep the
-# map pinned in the object store (same pattern as stages/link.py).
-_CACHED_ALIASES: tuple[bytes, dict] | None = None
-
-
-def _rewrite_batch(batch: pa.Table, *, mapping_ref: ray.ObjectRef) -> pa.Table:
-    """Task-pool UDF: rewrite canon_key through the broadcast closure map.
-
-    The map holds only ALIASED keys (canon_root != canon_key), i.e. one entry
-    per merged-away entity key — broadcast once via ``ray.put`` and resolved
-    once per worker process.  When the alias table outgrows
-    ``broadcast_limit`` rows, :func:`_rewrite_keys` switches to the fully
-    distributed co-partitioned rewrite instead."""
-    global _CACHED_ALIASES
-    key = mapping_ref.binary()
-    if _CACHED_ALIASES is None or _CACHED_ALIASES[0] != key:
-        _CACHED_ALIASES = None  # drop the old map before resolving the new one
-        _CACHED_ALIASES = (key, ray.get(mapping_ref))
-    mapping = _CACHED_ALIASES[1]
-    rewritten = [mapping.get(k, k) for k in batch.column("canon_key").to_pylist()]
-    return batch.set_column(
-        batch.schema.get_field_index("canon_key"),
-        "canon_key",
-        pa.array(rewritten, pa.string()),
-    )
-
-
-def _rewrite_keys_distributed(
+def _rewrite_keys(
     docs: ray.data.Dataset, mapping: ray.data.Dataset, num_partitions: int
 ) -> ray.data.Dataset:
-    """Fully distributed closure key-rewrite: docs and the (canon_key →
-    canon_root) mapping co-hash-partition on canon_key; each partition builds
-    its local alias dict and rewrites its doc rows — the alias table never
-    touches the driver, so a closure over 10^12 docs streams like any other
-    shuffle.  Implemented as the repo's tag-union-partition join (Ray's
+    """Replace each doc's canon_key with its closure root.
+
+    Docs and the aliased rows of the (canon_key → canon_root) ``mapping``
+    co-hash-partition on canon_key; each partition builds its local alias
+    dict and rewrites its doc rows, so the alias table never touches the
+    driver.  Implemented as the repo's tag-union-partition join (Ray's
     native join reserves actor pools per join; see partitioned_join)."""
-    doc_schema = docs.schema().base_schema
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -346,29 +227,23 @@ def _rewrite_keys_distributed(
         )
 
     def tag_map(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.not_equal(batch.column("canon_key"), batch.column("canon_root")))
         n = batch.num_rows
-        cols: dict = {}
-        for field in doc_schema:
-            cols[field.name] = (
-                batch.column("canon_key") if field.name == "canon_key" else pa.nulls(n, field.type)
-            )
+        cols = {field.name: pa.nulls(n, field.type) for field in DOC_SCHEMA}
+        cols["canon_key"] = batch.column("canon_key")
         cols["canon_root"] = batch.column("canon_root")
         cols["__side"] = pa.array(["m"] * n, pa.string())
-        cols[PART] = pa.array(
-            hash_partition(batch, "canon_key", num_partitions), pa.int32()
-        )
-        return pa.Table.from_pydict(cols)
+        cols[PART] = pa.array(hash_partition(batch, "canon_key", num_partitions), pa.int32())
+        return pa.table(cols)
 
     def rewrite(part: pa.Table) -> pa.Table:
         sides = part.column("__side").to_pylist()
         keys = part.column("canon_key").to_pylist()
         roots = part.column("canon_root").to_pylist()
-        alias = {
-            k: r for k, r, s in zip(keys, roots, sides) if s == "m" and r and r != k
-        }
+        alias = {k: r for k, r, s in zip(keys, roots, sides) if s == "m"}
         doc_rows = [i for i, s in enumerate(sides) if s == "d"]
         part = part.take(pa.array(doc_rows, pa.int64()))
-        rewritten = [alias.get(k, k) for k in (keys[i] for i in doc_rows)]
+        rewritten = [alias.get(keys[i], keys[i]) for i in doc_rows]
         part = part.set_column(
             part.schema.get_field_index("canon_key"), "canon_key",
             pa.array(rewritten, pa.string()),
@@ -381,29 +256,13 @@ def _rewrite_keys_distributed(
     return reduce_partitions(tagged, rewrite, batch_format="pyarrow")
 
 
-def _rewrite_keys(docs: ray.data.Dataset, mapping: ray.data.Dataset,
-                  num_partitions: int, *,
-                  broadcast_limit: int = 2_000_000) -> ray.data.Dataset:
-    """Replace each doc's canon_key with its closure representative.
+_DEAD_LETTERS = pa.array(["_error", "_dropped"])
 
-    Hybrid plan: the alias table (one row per merged-away entity key) is
-    usually tiny, so up to ``broadcast_limit`` rows it broadcasts via
-    ``ray.put`` and the rewrite is a shuffle-free task map; past the
-    limit the rewrite runs as a co-partitioned distributed join
-    (:func:`_rewrite_keys_distributed`) and nothing materializes driver-side.
-    """
-    mapping = mapping.materialize()
-    if mapping.count() > broadcast_limit:
-        return _rewrite_keys_distributed(docs, mapping, num_partitions)
-    mapping_df = mapping.to_pandas()
-    aliases = mapping_df[mapping_df["canon_key"] != mapping_df["canon_root"]]
-    alias_ref = ray.put(dict(zip(aliases["canon_key"], aliases["canon_root"])))
-    return docs.map_batches(
-        _rewrite_batch,
-        fn_kwargs={"mapping_ref": alias_ref},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+
+def _live_doc_rows(batch: pa.Table) -> pa.Table:
+    """Drop dead letters and project the rest onto exactly ``DOC_SCHEMA``."""
+    live = batch.filter(pc.invert(pc.is_in(batch.column("entity_class"), value_set=_DEAD_LETTERS)))
+    return live.select(DOC_SCHEMA.names).cast(DOC_SCHEMA)
 
 
 def canonicalize(
@@ -415,23 +274,29 @@ def canonicalize(
     num_partitions: int | None = None,
     closure: bool = False,
 ) -> ray.data.Dataset:
-    """Canonical merge on ``canon_key``; one production plan, same algebra
-    as its two reference alternatives:
+    """Canonical merge on ``canon_key``; emits exactly ``DOC_SCHEMA``
+    blocks, one row per entity.  One production plan and its reference:
 
     * ``precombine=True`` (production: ``run_kg_pipeline``, ``entry()``): a
       BATCH-LOCAL combiner (``map_batches`` of the same associative merge,
       zero shuffle) collapses each batch's duplicate keys — a head entity at
       x% corpus frequency shrinks by its per-batch occupancy — then ONE
       hash-partitioned final merge.  Neutralizes head-key stragglers
-      without a frequency sketch; ``n_salts`` and ``salted`` are ignored.
-    * ``precombine=False, salted=True``: two-phase salted partial (``n_salts``
-      salts per key) → final merge, two full shuffles.
-    * ``precombine=False, salted=False``: single-shuffle variant — the
-      correctness reference the other plans are tested against.
+      without a frequency sketch.
+    * ``precombine=False``: the final merge alone — the correctness
+      reference the production plan is tested against.
+
+    ``n_salts`` and ``salted`` are ignored: they name a salted two-phase
+    plan that no longer exists, and stay accepted only because the
+    benchmark's staged trace still passes them.
+
+    The input's dead letters (``_error``, ``_dropped``) are dropped and the
+    rest is projected and cast to ``DOC_SCHEMA`` once, before any merge.
 
     ``closure=True`` first rewrites keys through the sameAs/identifier
-    connected components, so entities transitively linked via shared GND ids
-    merge even when their direct keys differ (north rule's sameAs closure).
+    connected components (:func:`closure_keys`, :func:`_rewrite_keys`), so
+    entities transitively linked via shared GND ids merge even when their
+    direct keys differ (north rule's sameAs closure).
 
     ``num_partitions=None`` derives the exchange width from the input size /
     cluster (``esmarc_ray.config.derive_partitions``, floored at 256 so the
@@ -441,27 +306,14 @@ def canonicalize(
         from esmarc_ray.config import dataset_size_hint, derive_partitions
 
         num_partitions = max(256, derive_partitions(dataset_size_hint(docs)))
-    live = docs.filter(
-        expr="entity_class != '_error' and entity_class != '_dropped'"
-    )
+    live = docs.map_batches(_live_doc_rows, batch_format="pyarrow", zero_copy_batch=True)
     if closure:
-        mapping = closure_keys(live, num_partitions=max(16, num_partitions // 16))
-        live = _rewrite_keys(live, mapping, num_partitions=max(16, num_partitions // 16))
+        width = max(16, num_partitions // 16)
+        live = _rewrite_keys(live, closure_keys(live, num_partitions=width), width)
     if precombine:
         # batch-local combiner (Ray fuses it with the exchange's tag step)
         live = live.map_batches(
             _merge_partition, batch_format="pyarrow", zero_copy_batch=True
-        )
-    elif salted:
-
-        def add_salt(batch: pa.Table) -> pa.Table:
-            salts = hash_partition(batch, "doc_id", n_salts)
-            return batch.append_column("salt", pa.array(salts, pa.int32()))
-
-        live = partitioned_final(
-            live.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True),
-            ["canon_key", "salt"], _merge_partition, num_partitions,
-            batch_format="pyarrow",
         )
     return partitioned_final(
         live, ["canon_key"], _merge_partition, num_partitions, batch_format="pyarrow"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
 
 import pyarrow as pa
 import ray.data
@@ -127,7 +126,6 @@ def extract_docs(
     *,
     batch_size: int = 512,
     prune: bool = True,
-    **map_kwargs: Any,
 ) -> ray.data.Dataset:
     """Span documents → entity-doc dataset (incl. _error/_dropped rows)."""
     return documents.map_batches(
@@ -135,11 +133,10 @@ def extract_docs(
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        **map_kwargs,
     )
 
 
-def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096, **map_kwargs: Any) -> ray.data.Dataset:
+def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
     """Entity docs → (subj, pred, obj) triple dataset.  An ``_error`` row
     becomes one ``pred="_error"`` triple and a ``_dropped`` row none.
     ``run_kg_pipeline`` and ``entry()`` pass canonicalized docs, which hold
@@ -172,5 +169,4 @@ def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096, **map_kwa
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        **map_kwargs,
     )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import pathlib
 import shutil
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -109,8 +110,9 @@ def _class_counts(batch: pa.Table) -> dict[str, int]:
 
 class ManifestParquetSink(Datasink):
     """Hive-partitioned parquet sink whose write tasks ALSO return the
-    lineage-manifest partials (row count, per-class counts, xor-crc) for
-    every (partition value, file) they write.
+    lineage-manifest partials (row count, per-class counts, xor-crc, and the
+    seconds its ``pq.write_table`` took) for every (partition value, file)
+    they write.
 
     This fuses the manifest pass into the write: the driver folds one small
     dict per written file instead of re-reading the whole output.  File
@@ -172,7 +174,9 @@ class ManifestParquetSink(Datasink):
                 # no schema metadata (pandas' index notes): Ray's schema
                 # unification cannot hash a schema that carries any
                 data = sub.drop_columns(self.partition_cols).replace_schema_metadata(None)
+                t_write = time.perf_counter()
                 pq.write_table(data, path, **self.table.encoding.write_options(data.schema))
+                write_seconds = time.perf_counter() - t_write
                 if "entity_class" in part:
                     counts = {str(part["entity_class"]): sub.num_rows}
                 elif "entity_class" in sub.column_names:
@@ -185,6 +189,7 @@ class ManifestParquetSink(Datasink):
                         "n_rows": sub.num_rows,
                         "class_counts": counts,
                         "xor_crc": _xor_crc(sub, self.table.hash_cols),
+                        "write_seconds": write_seconds,
                     }
                 )
         return results
@@ -199,11 +204,14 @@ def _fold_manifest(
     partials: list[dict],
     shard_path: pathlib.Path,
     inputs: list[str] | None,
-    write_seconds: float,
+    execution_seconds: float,
 ) -> dict:
     """Fold per-file write partials into one shard's manifest + marker.
 
     The driver touches one small dict per written file, never the triples.
+    ``metrics.write_seconds`` sums the partials' own file-write times;
+    ``metrics.execution_seconds`` is the wall span of the streaming
+    execution that the write drives (every stage upstream of the sink).
     """
     counts: dict[str, int] = {}
     content_hash = 0
@@ -220,7 +228,8 @@ def _fold_manifest(
         "content_hash": content_hash,
         # per-partition metrics (north rule: lineage + metrics per shard)
         "metrics": {
-            "write_seconds": round(write_seconds, 3),
+            "write_seconds": round(sum(p["write_seconds"] for p in partials), 3),
+            "execution_seconds": round(execution_seconds, 3),
             "bytes_written": sum(
                 f.stat().st_size for f in shard_path.rglob("*.parquet")
             ),
@@ -274,6 +283,9 @@ def _read_back_partials(
             "n_rows": r["n_rows"],
             "class_counts": json.loads(r["class_counts"]),
             "xor_crc": r["xor_crc"],
+            # the lance writer reports no per-file time: its writes are
+            # inside the manifest's execution_seconds
+            "write_seconds": 0.0,
         }
         for r in rows
     ]
@@ -297,8 +309,6 @@ def materialize_shard(
     :class:`ManifestParquetSink`), so the shard is written once and never
     re-read.
     """
-    import time
-
     shard_path = pathlib.Path(shard_dir)
     if shard_path.exists():
         shutil.rmtree(shard_path)
@@ -316,8 +326,7 @@ def materialize_shard(
         sink = ManifestParquetSink(shard_path, table.partition_cols, table=table)
         triples.write_datasink(sink)
         partials = sink.partials
-    write_seconds = time.perf_counter() - t_start
-    return _fold_manifest(partials, shard_path, inputs, write_seconds)
+    return _fold_manifest(partials, shard_path, inputs, time.perf_counter() - t_start)
 
 
 def materialize_buckets(
@@ -344,9 +353,9 @@ def materialize_buckets(
     tests/test_pipeline.py::test_bucketed_materialize_resume and the
     ``triple_bucket_resume`` oracle).  Bucket assignment is the engine's
     standard deterministic hash, so reruns route rows identically.
+    Each bucket's ``metrics.write_seconds`` sums its own files' write
+    times; ``metrics.execution_seconds`` is the one pass's wall span.
     """
-    import time
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -394,14 +403,14 @@ def materialize_buckets(
         keyed = keyed.sort(["bucket", "entity_class", "subj", "pred"])
     sink = ManifestParquetSink(out, ["bucket", "entity_class"])
     keyed.write_datasink(sink)
-    write_seconds = time.perf_counter() - t0
+    execution_seconds = time.perf_counter() - t0
     by_bucket: dict[int, list[dict]] = {}
     for part in sink.partials:
         by_bucket.setdefault(int(part["part"]["bucket"]), []).append(part)
     for k in todo:
         bdir(k).mkdir(parents=True, exist_ok=True)  # empty bucket is valid
         status["buckets"][str(k)] = _fold_manifest(
-            by_bucket.get(k, []), bdir(k), inputs, write_seconds
+            by_bucket.get(k, []), bdir(k), inputs, execution_seconds
         )
     return status
 

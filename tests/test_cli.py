@@ -93,6 +93,48 @@ def test_cli_batch_jsonld(tmp_path):
             assert json.loads(line).get("@id")
 
 
+def test_cli_batch_idfile_restricts_the_scan(tmp_path):
+    """Batch mode honours -idfile: the docs checkpoint and the triples hold
+    only the listed doc_ids, and with -query only the intersection."""
+    import pathlib
+
+    import pyarrow.parquet as pq
+
+    from esmarc_ray.corpus import CorpusSpec, write_corpus
+
+    corpus = tmp_path / "corpus"
+    write_corpus(str(corpus), CorpusSpec(n_docs=20, seed=42), rows_per_file=10)
+    ids = ["800000003", "800000007", "800000011"]
+    idfile = tmp_path / "ids.txt"
+    idfile.write_text("\n".join(ids) + "\n")
+    repo = str(pathlib.Path(__file__).resolve().parents[1])
+
+    def doc_ids(root):
+        return {
+            d for f in root.rglob("*.parquet")
+            for d in pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist()
+        }
+
+    for extra, expected in (
+        ([], set(ids)),
+        (["-query", '[["doc_id", "<", "800000010"]]'], {"800000003", "800000007"}),
+    ):
+        out = tmp_path / f"out{len(extra)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "esmarc_ray", "-input", str(corpus),
+             "-prefix", str(out), "-idfile", str(idfile), "-w", "2", "-shards", "2",
+             *extra],
+            capture_output=True, text=True, timeout=300,
+            env={"PYTHONPATH": repo, "PATH": "/usr/bin:/bin", "HOME": str(tmp_path),
+                 "RAY_ADDRESS": "local"},
+            cwd=str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert doc_ids(out / "docs") == expected
+        triple_ids = doc_ids(out / "triples")
+        assert triple_ids and triple_ids <= expected
+
+
 def test_enrich_bot_chain_matches_fused_linker(ray_session, tmp_path):
     """Chaining the five per-bot CLIs over stdin/stdout (the reference's
     shell-pipeline surface, reference enrichment/entityfacts.py:193-256)

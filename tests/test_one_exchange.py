@@ -138,8 +138,9 @@ def test_allowlists_name_live_sites():
 
 def test_one_partition_hash_and_one_reduce():
     """The per-module copies of the partition hash are gone, and so are
-    canonicalize's own exchange (tag step, reduce wrapper) and the packed
-    zstd row format it shipped."""
+    canonicalize's own exchange (tag step, reduce wrapper), the packed zstd
+    row format it shipped, its broadcast closure rewrite and its salted
+    plan."""
     from esmarc_ray.ops import graph, kg_embed, relational
     from esmarc_ray.stages import canonicalize
 
@@ -157,5 +158,15 @@ def test_one_partition_hash_and_one_reduce():
         (canonicalize, "_packed_schema"),
         (canonicalize, "_PACKED_FIXED"),
         (canonicalize, "PAYLOAD_COMPRESS_LEVEL"),
+        (canonicalize, "_rewrite_batch"),
+        (canonicalize, "_CACHED_ALIASES"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+    source = pathlib.Path(canonicalize.__file__).read_text()
+    assert "broadcast_limit" not in source, "canonicalize's broadcast fork is back"
+    salt_columns = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value == "salt"
+    ]
+    assert not salt_columns, f"a 'salt' column is back in canonicalize (lines {salt_columns})"

@@ -16,6 +16,7 @@ from esmarc_ray.stages.extract import docs_to_triples, extract_docs
 from esmarc_ray.stages.link import build_link_indexes, link_entities
 from esmarc_ray.io import read_documents
 from esmarc_ray.pipelines.kg import run_kg_pipeline
+from esmarc_ray.values import to_json
 
 N_DOCS = 260
 
@@ -66,33 +67,108 @@ def test_link_stage_recall(ray_session, corpus_dir):
                for l in doc["sameAs"])
 
 
-def test_canonicalize_salted_equals_unsalted(ray_session, corpus_dir):
+def _reference_canonical(docs) -> dict:
+    """Independent driver-side canonicalization, as ``perfbench/reference.py``
+    does it: group every live doc by canon_key and call ``merge_docs`` once
+    per group — {canon_key: (doc_id, entity_class, doc_json)}."""
+    rows = docs.to_pandas()
+    rows = rows[~rows["entity_class"].isin(["_error", "_dropped"])]
+    out = {}
+    for key, group in rows.groupby("canon_key"):
+        group = group.sort_values("doc_id")
+        if len(group) == 1:
+            doc_json = group["doc_json"].iloc[0]
+        else:
+            pairs = [(d, json.loads(j)) for d, j in zip(group["doc_id"], group["doc_json"])]
+            doc_json = to_json(merge_docs(pairs)[1])
+        out[key] = (group["doc_id"].iloc[0], group["entity_class"].iloc[0], doc_json)
+    return out
+
+
+def test_canonicalize_plans_match_driver_reference(ray_session, corpus_dir):
     path, spec = corpus_dir
-    docs = extract_docs(read_documents(path), DEFAULT_CONFIG)
+    docs = extract_docs(read_documents(path), DEFAULT_CONFIG).materialize()
 
     def snapshot(ds):
         rows = ds.to_pandas()
+        assert rows["canon_key"].is_unique
         return {
-            row["canon_key"]: (row["doc_id"], row["doc_json"])
+            row["canon_key"]: (row["doc_id"], row["entity_class"], row["doc_json"])
             for _, row in rows.iterrows()
         }
 
-    salted = snapshot(canonicalize(docs, n_salts=8, salted=True))
+    reference = _reference_canonical(docs)
+    # the single-shuffle plan: one hash-partitioned merge
     unsalted = snapshot(canonicalize(docs, salted=False))
-    assert salted == unsalted
-    # the single-shuffle pre-combine plan (batch-local combiner + one final
+    assert unsalted == reference
+    # the production pre-combine plan (batch-local combiner + one final
     # merge) is the same associative algebra — must agree bit-for-bit too
     precombined = snapshot(canonicalize(docs, precombine=True))
-    assert precombined == unsalted
+    assert precombined == reference
     # the benchmark's staged trace calls canonicalize with exactly these
     # kwargs: they must keep running the same production plan
     staged = snapshot(canonicalize(docs, n_salts=16, salted=True, precombine=True))
-    assert staged == unsalted
+    assert staged == reference
     # the head GND key exists and merged more than one doc
     head_key = f"gnd:{spec.head_gnd}"
-    if head_key in salted:
-        merged = json.loads(salted[head_key][1])
-        assert "_merged_from" not in merged or len(merged["_merged_from"]) >= 1
+    assert head_key in reference
+    assert len(json.loads(reference[head_key][2])["_merged_from"]) > 1
+
+
+def test_canonicalize_emits_doc_schema_over_a_multi_file_checkpoint(
+    ray_session, corpus_dir, tmp_path
+):
+    """Linked docs written as 12 files under two ``shard=K/`` dirs and read
+    back like phase 2 reads its checkpoint: the reader adds a hive ``shard``
+    column and spells ``gnd_ids`` ``list<element>``, the linker adds
+    ``n_links_added``.  Every canonicalize output block must have exactly
+    ``DOC_SCHEMA``, and the exchange must log no schema divergence."""
+    import logging
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray as _ray
+
+    from esmarc_ray.io import read_checkpoint
+    from esmarc_ray.stages.extract import DOC_SCHEMA
+
+    path, spec = corpus_dir
+    linked = link_entities(
+        extract_docs(read_documents(path), DEFAULT_CONFIG),
+        _ray.put(build_link_indexes(link_tables(spec))),
+    )
+    table = pa.concat_tables(_ray.get(linked.to_arrow_refs()))
+    files = []
+    step = -(-table.num_rows // 12)
+    for i in range(12):
+        shard_dir = tmp_path / "docs" / f"shard={i % 2:05d}"
+        shard_dir.mkdir(parents=True, exist_ok=True)
+        files.append(str(shard_dir / f"part-{i:05d}.parquet"))
+        pq.write_table(table.slice(i * step, step), files[-1])
+    docs = read_checkpoint(sorted(files))
+    assert {"shard", "n_links_added"} <= set(docs.schema().names)
+
+    class SchemaWarnings(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.messages = []
+
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                self.messages.append(record.getMessage())
+
+    handler = SchemaWarnings()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        blocks = [_ray.get(ref) for ref in canonicalize(docs, precombine=True).to_arrow_refs()]
+    finally:
+        logger.removeHandler(handler)
+    assert blocks
+    assert all(block.schema == DOC_SCHEMA for block in blocks)
+    assert not handler.messages, handler.messages[0]
+    got = pa.concat_tables(blocks)
+    assert sorted(got.column("canon_key").to_pylist()) == sorted(_reference_canonical(docs))
 
 
 def test_merge_docs_associative():
@@ -178,6 +254,22 @@ def test_kg_manifest_pinned(pinned_run, monkeypatch):
     )
     assert {s["status"] for s in resumed["shards"]} == {"skipped(resume)"}
     assert resumed["triples"]["content_hash"] == PINNED_MANIFEST["content_hash"]
+
+
+def test_manifests_time_the_write_apart_from_the_execution(pinned_run):
+    """A shard manifest's ``write_seconds`` is the sum of its files'
+    ``pq.write_table`` times, and ``execution_seconds`` the wall span of the
+    streaming execution the write drives — for the triple shard (canonicalize,
+    flatten, sort and write) and for each docs shard (extract and link)."""
+    run_dir, _, manifest = pinned_run
+    docs_manifests = [
+        json.loads(p.read_text())
+        for p in sorted((run_dir / "out" / "docs").glob("shard=*/_manifest.json"))
+    ]
+    assert len(docs_manifests) == 2
+    for shard in [manifest["triples"], *docs_manifests]:
+        metrics = shard["metrics"]
+        assert 0 <= metrics["write_seconds"] < metrics["execution_seconds"], metrics
 
 
 def test_resume_over_snappy_docs_checkpoint(pinned_run, tmp_path):
@@ -732,24 +824,30 @@ def test_canonicalize_sameas_closure(ray_session):
     assert json.loads(merged["doc_json"])["_merged_from"] == ["a1", "b2", "c3"]
     assert "isil:DE-627:99" in set(closed["canon_key"])
 
-    # the DISTRIBUTED key-rewrite (alias table past the broadcast limit:
-    # co-partitioned join, nothing driver-side) must agree with broadcast
-    from esmarc_ray.stages.canonicalize import _rewrite_keys, closure_keys
+    # the closure map is connected_components' own labelling, restricted to
+    # the key nodes: every key sorts before every xid: identifier node, so
+    # each component's label is its min canon_key
+    from esmarc_ray.ops.graph import connected_components
+    from esmarc_ray.stages.canonicalize import closure_keys
 
-    mapping = closure_keys(docs, num_partitions=4)
-    broadcast = (
-        _rewrite_keys(docs, mapping, 4)
-        .to_pandas()[["doc_id", "canon_key"]]
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    mapping = (
+        closure_keys(docs, num_partitions=4).to_pandas()
+        .sort_values("canon_key").reset_index(drop=True)
     )
-    distributed = (
-        _rewrite_keys(docs, mapping, 4, broadcast_limit=0)
-        .to_pandas()[["doc_id", "canon_key"]]
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    edges = pd.DataFrame(
+        [(r["canon_key"], f"xid:gnd:{g}") for r in rows for g in r["gnd_ids"]],
+        columns=["u", "v"],
     )
-    pd.testing.assert_frame_equal(distributed, broadcast)
+    labels = connected_components(_ray.data.from_pandas(edges), num_partitions=4).to_pandas()
+    labels = labels[~labels["node"].str.startswith("xid:")]
+    expected = (
+        labels.rename(columns={"node": "canon_key", "component": "canon_root"})
+        .sort_values("canon_key").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(mapping, expected)
+    assert dict(zip(mapping["canon_key"], mapping["canon_root"])) == {
+        "gnd:X": "gnd:X", "gnd:Y": "gnd:X",
+    }
 
 
 def test_link_stage_wikipedia_categories(ray_session, corpus_dir):
@@ -1135,7 +1233,8 @@ def test_manifest_sink_retry_overwrites_its_own_files(tmp_path):
     """A retried write task (same ``ctx.task_idx``, same blocks) writes the
     same file names again: the files, their count, the returned partials and
     the folded manifest all come out the same as after the first attempt —
-    for a triple shard and for a docs shard."""
+    for a triple shard and for a docs shard.  Only the measured file-write
+    seconds (each partial's and the manifest's sum of them) may differ."""
     import types
 
     import pyarrow as pa
@@ -1192,10 +1291,16 @@ def test_manifest_sink_retry_overwrites_its_own_files(tmp_path):
         files_retried, contents_retried = snapshot()
         manifest_retried = _fold_manifest(retried, out, ["in"], 0.0)
 
+        def untimed(partials, manifest):
+            assert all(p["write_seconds"] >= 0 for p in partials)
+            total = sum(p["write_seconds"] for p in partials)
+            assert manifest["metrics"]["write_seconds"] == round(total, 3)
+            manifest = {**manifest, "metrics": dict(manifest["metrics"], write_seconds=None)}
+            return [dict(p, write_seconds=None) for p in partials], manifest
+
         assert files_retried == files_first
         assert contents_retried == contents_first
-        assert retried == first
-        assert manifest_retried == manifest_first
+        assert untimed(retried, manifest_retried) == untimed(first, manifest_first)
         return files_first, manifest_first
 
     out = tmp_path / "shard"
