@@ -108,48 +108,66 @@ def query_clauses(query: Any) -> list[list[tuple]]:
     return [[tuple(f) for f in clause] for clause in query]
 
 
+def read_parquet_row_groups(paths: str | list[str], **kwargs: Any) -> ray.data.Dataset:
+    """``ray.data.read_parquet`` with one block per parquet row group (at
+    least one), unless the caller passes ``override_num_blocks``.
+
+    The row group is the writer's unit: span corpora are written in
+    2,048-row groups, the pipeline's checkpoints one group per file.  Ray's
+    own split follows the session's CPUs and a size estimate, not the
+    input: in a 2-CPU session it cut a 2,000-doc span file (one group) into
+    4 blocks, and the first extract task then waited for a newly spawned
+    worker while the read held the only warm one.  The group count is read
+    from the footers on the driver; Ray still reads a file in one task and
+    cuts its output into the blocks (and splits a block above
+    ``DataContext.target_max_block_size``)."""
+    if "override_num_blocks" not in kwargs:
+        import pyarrow.parquet as pq
+
+        # the files Ray reads: a list of one directory is that directory
+        files = paths[0] if not isinstance(paths, str) and len(paths) == 1 else paths
+        fragments = pq.ParquetDataset(files, partitioning=None).fragments
+        kwargs["override_num_blocks"] = max(1, sum(f.num_row_groups for f in fragments))
+    return ray.data.read_parquet(paths, **kwargs)
+
+
 def read_documents(
     path: str | list[str],
     *,
     columns: list[str] | None = None,
-    doc_ids: "list[str] | None" = None,
     query: Any = None,
     format: str = "parquet",
     **kwargs: Any,
 ) -> ray.data.Dataset:
     """Read the interleaved span-document table (doc_id, spans).
 
-    ``doc_ids`` restricts the read to the listed ids — the reference's
-    ``IDFile`` mode (esmarc/esmarc.py:269-270) — pushed down as a parquet
-    row-group/fragment predicate, not a post-read filter.  ``query`` is a
-    generic prefilter (see :func:`compile_query_filter`), ANDed with
-    ``doc_ids`` when both are given.
+    ``query`` is a prefilter (see :func:`compile_query_filter`) pushed into
+    the scan; the CLI's ``-idfile`` / ``-id`` arrive as its
+    ``("doc_id", "in", ids)`` conjunct (``cli.restrict_to_ids``).  As
+    parquet the read is one block per row group
+    (:func:`read_parquet_row_groups`): a shard of up to 2,048 docs is one
+    block, so phase 1 runs one extract task on the session's warm worker.
     """
     if columns is None:
         columns = ["doc_id", "spans"]
     predicate = compile_query_filter(query) if query is not None else None
-    if doc_ids is not None:
-        import pyarrow.compute as pc
-
-        id_pred = pc.field("doc_id").isin(list(doc_ids))
-        predicate = id_pred if predicate is None else (predicate & id_pred)
     if predicate is not None:
         kwargs["filter"] = predicate
     if format == "lance" and HAVE_LANCE:
         return ray.data.read_lance(path, columns=columns, **kwargs)
-    return ray.data.read_parquet(path, columns=columns, **kwargs)
+    return read_parquet_row_groups(path, columns=columns, **kwargs)
 
 
 def read_checkpoint(files: list[str]) -> ray.data.Dataset:
-    """Read back a parquet checkpoint the pipeline wrote itself: one read
-    task and one block per file (Ray still splits a file above
-    ``DataContext.target_max_block_size``).
+    """Read back a parquet checkpoint the pipeline wrote itself: one block
+    per row group (:func:`read_parquet_row_groups`), which is one block per
+    file, since the sink writes each block as one single-group file.
 
     The writer already sized those files, one per write task.  Ray's default
     read split would cut them into blocks of at least 1 MiB, and every extra
     block costs its own combiner, exchange, merge, sort and write tasks.
     """
-    return ray.data.read_parquet(files, override_num_blocks=len(files))
+    return read_parquet_row_groups(files)
 
 
 def write_table(ds: ray.data.Dataset, path: str, *, format: str = "parquet", **kwargs: Any) -> None:

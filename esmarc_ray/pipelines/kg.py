@@ -20,8 +20,12 @@ lineage"):
   docs (and, with ``jsonld=True``, ``canonical/``) back with
   :func:`esmarc_ray.io.read_checkpoint`: one block per file phase 1 wrote,
   so the block count — and with it every later stage's task count — follows
-  the checkpoint's files, not Ray's 1-MiB default read split.  Phase 1's
-  span read keeps that split: it is each shard's extract parallelism.
+  the checkpoint's files, not Ray's 1-MiB default read split.
+
+Both phases read one block per parquet row group, the writer's unit
+(:func:`esmarc_ray.io.read_parquet_row_groups`): a span shard of up to
+2,048 docs (one group) runs phase 1 as one read, extract, link and write
+task, and a larger file gets one extract task per group.
 
 Dead letters (``_error`` and ``_dropped`` docs) stop at the docs
 checkpoint: canonicalize drops them, so the run manifest's

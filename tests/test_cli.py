@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from esmarc_ray.cli import parse_args
+
+# the checkout these tests belong to: child processes import its package
+REPO = str(pathlib.Path(__file__).resolve().parents[1])
+
+
+def _child_env(home, **extra: str) -> dict[str, str]:
+    """A CLI child's environment: this checkout's package, ``home`` as HOME."""
+    return {"PYTHONPATH": REPO, "PATH": "/usr/bin:/bin", "HOME": str(home), **extra}
 
 
 def test_parse_args_defaults():
@@ -29,8 +38,7 @@ def test_cli_single_id(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "esmarc_ray", "-input", str(corpus), "-id", "800000002", "-w", "2"],
         capture_output=True, text=True, timeout=300,
-        env={"PYTHONPATH": "/root/repo", "PATH": "/usr/bin:/bin", "HOME": "/root",
-             "RAY_ADDRESS": "local"},
+        env=_child_env(tmp_path, RAY_ADDRESS="local"),
         cwd=str(tmp_path),
     )
     lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
@@ -54,8 +62,7 @@ def test_cli_query_prefilter(tmp_path):
         [sys.executable, "-m", "esmarc_ray", "-input", str(corpus),
          "-query", query, "-debug", "-w", "2"],
         capture_output=True, text=True, timeout=300,
-        env={"PYTHONPATH": "/root/repo", "PATH": "/usr/bin:/bin", "HOME": "/root",
-             "RAY_ADDRESS": "local"},
+        env=_child_env(tmp_path, RAY_ADDRESS="local"),
         cwd=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -77,8 +84,7 @@ def test_cli_batch_jsonld(tmp_path):
         [sys.executable, "-m", "esmarc_ray", "-input", str(corpus),
          "-prefix", str(out), "-w", "2", "-shards", "2", "-jsonld"],
         capture_output=True, text=True, timeout=300,
-        env={"PYTHONPATH": "/root/repo", "PATH": "/usr/bin:/bin", "HOME": "/root",
-             "RAY_ADDRESS": "local"},
+        env=_child_env(tmp_path, RAY_ADDRESS="local"),
         cwd=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -96,8 +102,6 @@ def test_cli_batch_jsonld(tmp_path):
 def test_cli_batch_idfile_restricts_the_scan(tmp_path):
     """Batch mode honours -idfile: the docs checkpoint and the triples hold
     only the listed doc_ids, and with -query only the intersection."""
-    import pathlib
-
     import pyarrow.parquet as pq
 
     from esmarc_ray.corpus import CorpusSpec, write_corpus
@@ -107,7 +111,6 @@ def test_cli_batch_idfile_restricts_the_scan(tmp_path):
     ids = ["800000003", "800000007", "800000011"]
     idfile = tmp_path / "ids.txt"
     idfile.write_text("\n".join(ids) + "\n")
-    repo = str(pathlib.Path(__file__).resolve().parents[1])
 
     def doc_ids(root):
         return {
@@ -125,8 +128,7 @@ def test_cli_batch_idfile_restricts_the_scan(tmp_path):
              "-prefix", str(out), "-idfile", str(idfile), "-w", "2", "-shards", "2",
              *extra],
             capture_output=True, text=True, timeout=300,
-            env={"PYTHONPATH": repo, "PATH": "/usr/bin:/bin", "HOME": str(tmp_path),
-                 "RAY_ADDRESS": "local"},
+            env=_child_env(tmp_path, RAY_ADDRESS="local"),
             cwd=str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -177,7 +179,7 @@ def test_enrich_bot_chain_matches_fused_linker(ray_session, tmp_path):
     proc = subprocess.run(
         chain, shell=True, input=input_ldj, capture_output=True, text=True,
         timeout=300,
-        env={"PYTHONPATH": "/root/repo", "PATH": "/usr/bin:/bin", "HOME": "/root"},
+        env=_child_env(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     out_lines = [l for l in proc.stdout.splitlines() if l.strip()]

@@ -469,7 +469,9 @@ def test_docs_manifest_matches_its_files(pinned_run):
 
 def test_parquet_bytes_tool_on_pinned_triples(pinned_run, capsys):
     """``tools/parquet_bytes.py`` accounts for every byte of the pinned
-    run's triple files and reports their codec and encodings."""
+    run's triple files and reports their codec, encodings and row groups."""
+    import pyarrow.parquet as pq
+
     from tools.parquet_bytes import column_bytes, main
 
     run_dir, _, manifest = pinned_run
@@ -477,6 +479,10 @@ def test_parquet_bytes_tool_on_pinned_triples(pinned_run, capsys):
     tree = column_bytes(triples)
     assert tree["rows"] == manifest["triples"]["row_count"]
     assert tree["bytes"] == sum(p.stat().st_size for p in triples.rglob("*.parquet"))
+    footers = [pq.read_metadata(p) for p in triples.rglob("*.parquet")]
+    group_rows = [m.row_group(g).num_rows for m in footers for g in range(m.num_row_groups)]
+    assert tree["row_groups"] == len(group_rows) >= tree["files"]
+    assert tree["group_rows"] == (min(group_rows), max(group_rows))
     columns = tree["columns"]
     assert set(columns) == {"subj", "pred", "obj", "obj_kind", "doc_id"}
     assert 0 < sum(c["bytes"] for c in columns.values()) < tree["bytes"]
@@ -486,7 +492,8 @@ def test_parquet_bytes_tool_on_pinned_triples(pinned_run, capsys):
 
     assert main([str(triples)]) == 0
     out = capsys.readouterr().out
-    assert f"{tree['rows']:,} rows" in out and "obj " in out and "(total)" in out
+    assert f"{tree['rows']:,} rows, {tree['row_groups']:,} row groups" in out
+    assert "obj " in out and "(total)" in out
 
 
 @pytest.mark.parametrize("damage", ["lost_file", "stray_duplicate", "legacy_marker"])
@@ -557,6 +564,36 @@ def test_phase2_is_invariant_to_checkpoint_block_granularity(pinned_run, tmp_pat
             "row_count": PINNED_MANIFEST["row_count"],
             "content_hash": PINNED_MANIFEST["content_hash"],
         }, name
+
+
+def test_phase1_is_invariant_to_span_row_groups(pinned_run, tmp_path):
+    """Phase 1 reads its spans one block per parquet row group, so the
+    span file's row-group size sets phase 1's block count, the phase-1
+    twin of the checkpoint read above.  The pinned corpus as one file of
+    16-row groups (19 blocks) and of one 300-row group (one block) gives
+    the pinned manifest both times."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    run_dir, tables, _ = pinned_run
+    spans = pa.concat_tables(
+        [pq.read_table(f) for f in sorted((run_dir / "in").glob("*.parquet"))]
+    )
+    assert spans.num_rows == PINNED_SPEC.n_docs
+    for row_group_size, blocks in ((16, 19), (PINNED_SPEC.n_docs, 1)):
+        corpus = tmp_path / f"in{row_group_size}"
+        corpus.mkdir()
+        pq.write_table(spans, corpus / "part-00000.parquet", row_group_size=row_group_size)
+        assert read_documents(str(corpus)).materialize().num_blocks() == blocks
+        manifest = run_kg_pipeline(
+            str(corpus), str(tmp_path / f"out{row_group_size}"), link_tables=tables,
+            num_shards=2,
+        )
+        got = {key: manifest["triples"][key] for key in ("row_count", "content_hash")}
+        assert got == {
+            "row_count": PINNED_MANIFEST["row_count"],
+            "content_hash": PINNED_MANIFEST["content_hash"],
+        }, row_group_size
 
 
 # Runs run_kg_pipeline with the DEFAULT link_concurrency in a fresh Ray
@@ -721,10 +758,14 @@ def test_extract_prune_equivalence(ray_session, corpus_dir):
 
 
 def test_idfile_read(ray_session, corpus_dir):
+    """The CLI's ``-idfile`` restriction: a ``("doc_id", "in", ids)``
+    query conjunct (``cli.restrict_to_ids``) reads exactly those ids."""
+    from esmarc_ray.cli import restrict_to_ids
+
     path, spec = corpus_dir
     all_ids = read_documents(path).to_pandas()["doc_id"].tolist()
     wanted = sorted(all_ids)[:5]
-    subset = read_documents(path, doc_ids=wanted).to_pandas()
+    subset = read_documents(path, query=restrict_to_ids(None, wanted)).to_pandas()
     assert sorted(subset["doc_id"]) == wanted
 
 
@@ -755,9 +796,12 @@ def test_query_prefilter_pushdown(ray_session, corpus_dir):
     two = read_documents(path, filter=expr).to_pandas()
     assert sorted(two["doc_id"]) == sorted([lo, hi])
 
-    # query ANDs with doc_ids (reference: query + IDFile compose)
+    # an id list ANDs with a query (reference: query + IDFile compose), as
+    # the CLI folds -idfile into -query
+    from esmarc_ray.cli import restrict_to_ids
+
     both = read_documents(
-        path, doc_ids=[lo, hi], query=[["doc_id", ">", lo]]
+        path, query=restrict_to_ids([["doc_id", ">", lo]], [lo, hi])
     ).to_pandas()
     assert both["doc_id"].tolist() == [hi]
 
