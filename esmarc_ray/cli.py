@@ -7,9 +7,10 @@ make sense in a Ray-Data engine).
     python -m esmarc_ray -input ... -idfile ids.txt          # subset by id file
 
 Differences from the reference, by design:
-* ``-input`` is a Lance/Parquet span-document table, not an Elasticsearch
-  index (``-host/-server`` have no equivalent here; ``-query`` takes a
-  pyarrow ``filters`` DNF pushed into the scan instead of an ES query body);
+* ``-input`` is a directory of parquet span-document files, not an
+  Elasticsearch index (``-host/-server`` have no equivalent here;
+  ``-query`` takes a pyarrow ``filters`` DNF pushed into the scan instead
+  of an ES query body);
 * ``-w`` sizes the local Ray session (num_cpus) instead of a process pool;
 * output is the partitioned, resumable triple table (never appends, so
   reruns cannot duplicate output like the reference's ``open(.., "at")``
@@ -32,7 +33,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         description="Entity splitting/recognition and RDF mapping of MARC span documents (Ray Data)",
     )
     parser.add_argument("-input", type=str, required=True,
-                        help="path to the span-document table (dir of parquet/lance files)")
+                        help="path to the span-document table (dir of parquet files)")
     parser.add_argument("-prefix", type=str, default="ldj/",
                         help="output directory for the triple table")
     parser.add_argument("-id", type=str, default=None,
@@ -42,7 +43,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("-query", type=str, default=None,
                         help="JSON source prefilter in pandas/pyarrow filters DNF, "
                              "e.g. '[[\"doc_id\", \">=\", \"80\"]]' — pushed into the "
-                             "parquet/lance scan (the reference CLI's ES query body)")
+                             "parquet scan (the reference CLI's ES query body)")
     parser.add_argument("-debug", action="store_true",
                         help="dump mapped docs to stdout instead of writing the triple table")
     parser.add_argument("-w", type=int, default=8,

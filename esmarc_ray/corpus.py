@@ -325,10 +325,6 @@ def generate_records(spec: CorpusSpec) -> Iterator[tuple[str, dict]]:
         yield make_record(idx, spec)
 
 
-def corpus_table(spec: CorpusSpec) -> pa.Table:
-    return records_to_table(generate_records(spec))
-
-
 def write_corpus(path: str, spec: CorpusSpec, rows_per_file: int = 20000) -> list[str]:
     """Write the span-document corpus as one-or-more parquet files.
 

@@ -1,9 +1,11 @@
 """Dataset sources/sinks.
 
-Physical format: Parquet everywhere in this sandbox (the ``lance`` package is
-not installed here); every reader/writer takes ``format="lance"`` and will use
-``ray.data.read_lance`` / ``Dataset.write_lance`` when the package is present
-— the north rule's Lance tables are a drop-in swap.
+Physical format: Parquet.  :func:`read_documents` and :func:`write_table`
+also take ``format="lance"`` and use ``ray.data.read_lance`` /
+``Dataset.write_lance`` when the ``lance`` package is installed.  The KG
+pipeline's own sinks (``stages/materialize.py``) write parquet only: their
+manifests come from the parquet write tasks, and the pipeline's input
+shards are the ``*.parquet`` files of its input directory.
 
 Projection pushdown: readers accept ``columns`` so only the needed columns
 leave storage (the engine equivalent of the reference's ES ``_source``
@@ -122,13 +124,19 @@ def read_parquet_row_groups(paths: str | list[str], **kwargs: Any) -> ray.data.D
     cuts its output into the blocks (and splits a block above
     ``DataContext.target_max_block_size``)."""
     if "override_num_blocks" not in kwargs:
-        import pyarrow.parquet as pq
-
-        # the files Ray reads: a list of one directory is that directory
-        files = paths[0] if not isinstance(paths, str) and len(paths) == 1 else paths
-        fragments = pq.ParquetDataset(files, partitioning=None).fragments
-        kwargs["override_num_blocks"] = max(1, sum(f.num_row_groups for f in fragments))
+        kwargs["override_num_blocks"] = max(
+            1, sum(f.num_row_groups for f in _parquet_fragments(paths))
+        )
     return ray.data.read_parquet(paths, **kwargs)
+
+
+def _parquet_fragments(paths: str | list[str]) -> list:
+    """The parquet files Ray reads for ``paths``, from their footers."""
+    import pyarrow.parquet as pq
+
+    # a list of one directory is that directory
+    files = paths[0] if not isinstance(paths, str) and len(paths) == 1 else paths
+    return pq.ParquetDataset(files, partitioning=None).fragments
 
 
 def read_documents(
@@ -147,6 +155,13 @@ def read_documents(
     parquet the read is one block per row group
     (:func:`read_parquet_row_groups`): a shard of up to 2,048 docs is one
     block, so phase 1 runs one extract task on the session's warm worker.
+
+    A read with a query is one block per file instead.  Ray cuts a file's
+    filtered rows into its row-group count of blocks, and the ones the
+    filter emptied come out schemaless; whole-block maps pass them on
+    unchanged, and each logs "RefBundle with a different schema".  A file
+    read as one block also fuses with extract.  The trade-off: a query that
+    keeps most of one large file leaves that file one extract task.
     """
     if columns is None:
         columns = ["doc_id", "spans"]
@@ -155,6 +170,8 @@ def read_documents(
         kwargs["filter"] = predicate
     if format == "lance" and HAVE_LANCE:
         return ray.data.read_lance(path, columns=columns, **kwargs)
+    if predicate is not None:
+        kwargs.setdefault("override_num_blocks", len(_parquet_fragments(path)))
     return read_parquet_row_groups(path, columns=columns, **kwargs)
 
 

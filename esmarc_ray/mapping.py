@@ -16,7 +16,6 @@ which neutralizes the reference's dynamic output keys.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable
 
 from esmarc_ray.config import DEFAULT_CONFIG, EngineConfig
@@ -507,14 +506,3 @@ def doc_to_triples(doc_id: str, entity: str, doc: dict) -> list[dict[str, str]]:
     cols: dict[str, list] = {name: [] for name in TRIPLE_COLUMNS}
     doc_to_triple_columns(doc_id, entity, doc, cols)
     return [dict(zip(TRIPLE_COLUMNS, row)) for row in zip(*cols.values())]
-
-
-def triples_to_doc(triples: list[dict[str, str]]) -> dict:
-    """Reassemble a JSON-LD doc from its triples (inverse of doc_to_triples
-    up to single/multi arity, which the mapping plan's arity rule restores)."""
-    doc: dict = {}
-    for row in triples:
-        value = json.loads(row["obj"]) if row["obj_kind"] == "node" else row["obj"]
-        doc.setdefault(row["pred"], []).append(value)
-        doc.setdefault("@id", row["subj"])
-    return doc

@@ -23,9 +23,13 @@ lineage"):
   the checkpoint's files, not Ray's 1-MiB default read split.
 
 Both phases read one block per parquet row group, the writer's unit
-(:func:`esmarc_ray.io.read_parquet_row_groups`): a span shard of up to
-2,048 docs (one group) runs phase 1 as one read, extract, link and write
-task, and a larger file gets one extract task per group.
+(:func:`esmarc_ray.io.read_parquet_row_groups`), and no row stage picks
+its own batch size: extract and link take whole blocks.  A span shard of
+up to 2,048 docs (one group) runs phase 1 as one fused
+``ReadParquet->MapBatches(extract)->MapBatches(_link_batch)`` task and one
+write task.  A file of several groups gets one extract task per group, but
+its read (``ReadParquet->SplitBlocks(n)``) does not fuse with extract; a
+read with a ``query`` is one block per file, and fuses.
 
 Dead letters (``_error`` and ``_dropped`` docs) stop at the docs
 checkpoint: canonicalize drops them, so the run manifest's

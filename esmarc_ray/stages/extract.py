@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 
 import pyarrow as pa
 import ray.data
@@ -75,8 +76,24 @@ def canonical_key(doc_id: str, doc: dict) -> str:
     return f"id:{doc.get('@id', doc_id)}"
 
 
+# Rows decoded per slice of an extract block.  Ray hands the extract UDF
+# whole read blocks (one per span row group, up to 2,048 docs), and the
+# decoded MARC records of a slice stay alive until its doc rows are built:
+# decoding a 4,096-row batch at once cost +100 MB RSS, 512-row slices cost
+# nothing measurable (ROADMAP "Measured and rejected").
+_DECODE_ROWS = 512
+
+# Docs per flatten batch.  Flatten runs behind canonicalize's final merge,
+# whose per-partition outputs are small blocks: taking each whole, one
+# flatten task per partition, made perfbench's ``resume_rebuild`` slower
+# (2,000 docs, 2-CPU Ray sessions on a 1-CPU host: build_s 2.06 -> 2.19 s
+# and 2.19 -> 2.39 s).
+_FLATTEN_ROWS = 4096
+
+
 def make_extract_fn(config: EngineConfig = DEFAULT_CONFIG, *, prune: bool = True):
-    """Batch fn: (doc_id, spans) batch → one doc row per emitted entity doc.
+    """Batch fn: (doc_id, spans) block → one doc table per
+    :data:`_DECODE_ROWS`-row slice of it, one row per emitted entity doc.
 
     ``prune=True`` applies mapping-derived projection pushdown: spans of MARC
     tags no mapping row reads are skipped at decode (the engine analogue of
@@ -85,7 +102,7 @@ def make_extract_fn(config: EngineConfig = DEFAULT_CONFIG, *, prune: bool = True
 
     keep_tags = source_tags() if prune else None
 
-    def extract(batch: pa.Table) -> pa.Table:
+    def extract_slice(batch: pa.Table) -> pa.Table:
         rows: dict[str, list] = {name: [] for name in DOC_SCHEMA.names}
 
         def emit(doc_id, entity, canon, doc_json, gnd_ids, error):
@@ -117,6 +134,10 @@ def make_extract_fn(config: EngineConfig = DEFAULT_CONFIG, *, prune: bool = True
                 )
         return pa.Table.from_pydict(rows, schema=DOC_SCHEMA)
 
+    def extract(block: pa.Table) -> Iterator[pa.Table]:
+        for start in range(0, block.num_rows, _DECODE_ROWS):
+            yield extract_slice(block.slice(start, _DECODE_ROWS))
+
     return extract
 
 
@@ -124,20 +145,25 @@ def extract_docs(
     documents: ray.data.Dataset,
     config: EngineConfig = DEFAULT_CONFIG,
     *,
-    batch_size: int = 512,
     prune: bool = True,
 ) -> ray.data.Dataset:
-    """Span documents → entity-doc dataset (incl. _error/_dropped rows)."""
+    """Span documents → entity-doc dataset (incl. _error/_dropped rows).
+
+    The map takes whole blocks, so a read block is one extract task and
+    the read fuses with it (``ReadParquet->MapBatches(extract)``): a
+    batch size would make Ray keep any map that can change the row count,
+    such as the read, apart.  The UDF decodes each block in
+    :data:`_DECODE_ROWS`-row slices."""
     return documents.map_batches(
         make_extract_fn(config, prune=prune),
         batch_format="pyarrow",
-        batch_size=batch_size,
         zero_copy_batch=True,
     )
 
 
-def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
-    """Entity docs → (subj, pred, obj) triple dataset.  An ``_error`` row
+def docs_to_triples(docs: ray.data.Dataset) -> ray.data.Dataset:
+    """Entity docs → (subj, pred, obj) triple dataset, in batches of
+    :data:`_FLATTEN_ROWS` docs.  An ``_error`` row
     becomes one ``pred="_error"`` triple and a ``_dropped`` row none.
     ``run_kg_pipeline`` and ``entry()`` pass canonicalized docs, which hold
     neither: canonicalize drops dead letters, and the pipeline counts them
@@ -167,6 +193,6 @@ def docs_to_triples(docs: ray.data.Dataset, *, batch_size: int = 4096) -> ray.da
     return docs.map_batches(
         flatten,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=_FLATTEN_ROWS,
         zero_copy_batch=True,
     )

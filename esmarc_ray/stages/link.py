@@ -467,16 +467,17 @@ def link_entities(
     indexes_ref: ray.ObjectRef,
     *,
     concurrency: int | None = None,
-    batch_size: int = 1024,
-    num_cpus: float = 1,
 ) -> ray.data.Dataset:
-    """Link the entity-doc dataset with a stateless task-pool ``map_batches``.
+    """Link the entity-doc dataset with a stateless task-pool ``map_batches``
+    over whole blocks, one CPU per task.
 
     ``indexes_ref`` should be ``ray.put(build_link_indexes(tables))`` — one
     object-store copy, resolved once per worker process.  ``concurrency``
     caps the number of concurrent link tasks; ``None`` leaves it uncapped,
-    so Ray fuses the link map with the extract map before it (and the sink
-    after it) into one task operator.
+    so Ray fuses the link map with the read and extract maps before it (and
+    the sink after it) into one task operator.  A cap keeps link its own
+    operator: perfbench pins ``link_concurrency=1``, so its phase 1 runs
+    ``ReadParquet->MapBatches(extract)`` and then ``MapBatches(_link_batch)``.
     """
     if concurrency is not None and not isinstance(concurrency, int):
         raise TypeError(
@@ -487,8 +488,6 @@ def link_entities(
         _link_batch,
         fn_kwargs={"indexes_ref": indexes_ref},
         batch_format="pyarrow",
-        batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=num_cpus,
         zero_copy_batch=True,
     )

@@ -44,13 +44,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data import Datasink
 
-from esmarc_ray.io import (
-    CHECKPOINT_ENCODING,
-    HAVE_LANCE,
-    TRIPLE_ENCODING,
-    ParquetEncoding,
-    write_table,
-)
+from esmarc_ray.io import CHECKPOINT_ENCODING, TRIPLE_ENCODING, ParquetEncoding
 from esmarc_ray.ops.relational import hash_partition
 from esmarc_ray.stages.extract import DOC_SCHEMA
 
@@ -243,61 +237,12 @@ def _fold_manifest(
     return manifest
 
 
-def _read_back_partials(
-    shard_path: pathlib.Path, format: str = "parquet", table: ShardTable = TRIPLES
-) -> list[dict]:
-    """Fallback partial computation for sinks that can't return write stats
-    (the lance path): a distributed read-back pass producing the same
-    partial dicts the parquet sink returns from its write tasks.
-
-    The glob must match the sink's actual on-disk format — globbing
-    ``*.parquet`` under a lance dataset finds nothing and would fold into
-    a row_count=0 manifest whose ``_SUCCESS`` marker then VALIDATES,
-    making a resumed run permanently skip the shard as "complete"."""
-    if format == "lance":
-        if not (shard_path / "_versions").exists() and not any(
-            shard_path.rglob("*.lance")
-        ):
-            raise RuntimeError(
-                f"lance read-back found no dataset under {shard_path}"
-            )
-        reader = ray.data.read_lance(str(shard_path))
-    else:
-        if not any(shard_path.rglob("*.parquet")):
-            return []
-        reader = ray.data.read_parquet(str(shard_path))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n_rows": [batch.num_rows],
-                "class_counts": [json.dumps(_class_counts(batch))],
-                "xor_crc": pa.array([_xor_crc(batch, table.hash_cols)], type=pa.uint64()),
-            }
-        )
-
-    rows = reader.map_batches(partial, batch_format="pyarrow").take_all()
-    return [
-        {
-            "part": {},
-            "n_rows": r["n_rows"],
-            "class_counts": json.loads(r["class_counts"]),
-            "xor_crc": r["xor_crc"],
-            # the lance writer reports no per-file time: its writes are
-            # inside the manifest's execution_seconds
-            "write_seconds": 0.0,
-        }
-        for r in rows
-    ]
-
-
 def materialize_shard(
     triples: ray.data.Dataset,
     shard_dir: str | pathlib.Path,
     *,
     inputs: list[str] | None = None,
     sort: bool = True,
-    format: str = "parquet",
     table: ShardTable = TRIPLES,
 ) -> dict:
     """Sort + partition-write one shard of ``table`` (the triples, or the
@@ -316,17 +261,9 @@ def materialize_shard(
     t_start = time.perf_counter()
     if sort:
         triples = triples.sort(["entity_class", "subj", "pred"])
-    if format == "lance" and HAVE_LANCE:
-        write_table(
-            triples, str(shard_path), format=format,
-            partition_cols=list(table.partition_cols),
-        )
-        partials = _read_back_partials(shard_path, format="lance", table=table)
-    else:
-        sink = ManifestParquetSink(shard_path, table.partition_cols, table=table)
-        triples.write_datasink(sink)
-        partials = sink.partials
-    return _fold_manifest(partials, shard_path, inputs, time.perf_counter() - t_start)
+    sink = ManifestParquetSink(shard_path, table.partition_cols, table=table)
+    triples.write_datasink(sink)
+    return _fold_manifest(sink.partials, shard_path, inputs, time.perf_counter() - t_start)
 
 
 def materialize_buckets(

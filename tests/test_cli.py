@@ -158,7 +158,7 @@ def test_enrich_bot_chain_matches_fused_linker(ray_session, tmp_path):
     ).to_pandas()
     indexes_ref = _ray.put(build_link_indexes(link_tables(spec)))
     docs2 = extract_docs(read_documents(str(corpus)), DEFAULT_CONFIG)
-    linked = link_entities(docs2, indexes_ref, batch_size=64)
+    linked = link_entities(docs2, indexes_ref)
     linked_rows = linked.to_pandas()
     linked_rows = linked_rows[
         ~linked_rows["entity_class"].isin(["_error", "_dropped"])

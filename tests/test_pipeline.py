@@ -51,7 +51,7 @@ def test_link_stage_recall(ray_session, corpus_dir):
 
     indexes_ref = _ray.put(build_link_indexes(tables))
     docs = extract_docs(read_documents(path), DEFAULT_CONFIG)
-    linked = link_entities(docs, indexes_ref, batch_size=64)
+    linked = link_entities(docs, indexes_ref)
     rows = linked.to_pandas()
     # exact truth: every doc with ≥1 resolvable GND id must gain links
     should_link = rows["gnd_ids"].map(
@@ -529,12 +529,12 @@ def test_resume_rebuilds_docs_shard_whose_files_changed(pinned_run, tmp_path, da
 
 def test_phase2_is_invariant_to_checkpoint_block_granularity(pinned_run, tmp_path):
     """Phase 2 over the pinned docs checkpoint read four ways — one block per
-    file (the pipeline's read), Ray's default split, 16 blocks, and the whole
-    checkpoint as one file — gives the pinned manifest every time.  The
-    block count sets the batch-local pre-combine's merge tree, so this is
-    the plan-invariance claim for the checkpoint read.  (These files are
+    file (the pipeline's read), Ray's default split, 8 blocks per file, and
+    the whole checkpoint as one file — gives the pinned manifest every time.
+    The block count sets the batch-local pre-combine's merge tree, so this
+    is the plan-invariance claim for the checkpoint read.  (These files are
     below Ray's 1-MiB minimum block size, so here the default split keeps
-    one block per file; the 16-block and single-file reads differ.)"""
+    one block per file; the 8-per-file and single-file reads differ.)"""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
@@ -550,11 +550,11 @@ def test_phase2_is_invariant_to_checkpoint_block_granularity(pinned_run, tmp_pat
     reads = {
         "one_block_per_file": read_checkpoint(files),
         "ray_default_split": ray.data.read_parquet(files),
-        "16_blocks": ray.data.read_parquet(files, override_num_blocks=16),
+        "8_blocks_per_file": ray.data.read_parquet(files, override_num_blocks=8 * len(files)),
         "single_file": read_checkpoint([str(single)]),
     }
     assert reads["one_block_per_file"].materialize().num_blocks() == len(files)
-    assert reads["16_blocks"].materialize().num_blocks() == 16
+    assert reads["8_blocks_per_file"].materialize().num_blocks() == 8 * len(files)
 
     for name, docs in reads.items():
         triples = docs_to_triples(canonicalize(docs, precombine=True))
@@ -656,22 +656,39 @@ def test_default_link_concurrency_does_not_hang(hang_corpus, num_cpus):
     assert json.loads(out.strip().splitlines()[-1]) == expected
 
 
-def test_link_stage_is_one_fused_task_map(ray_session, corpus_dir):
-    """No actor pool: the link map fuses with extract into one task
-    operator; the retired (min, max) pool sizing fails loudly."""
-    import ray as _ray
+def _physical_ops(ds) -> list[tuple[str, str]]:
+    """(operator class, name) of ``ds``'s physical plan, last operator first."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
-    path, spec = corpus_dir
-    indexes_ref = _ray.put(build_link_indexes(link_tables(spec)))
-    docs = extract_docs(read_documents(path), DEFAULT_CONFIG)
-    op = get_execution_plan(link_entities(docs, indexes_ref)._logical_plan).dag
+    op = get_execution_plan(ds._logical_plan).dag
     ops = []
     while op is not None:
         ops.append((type(op).__name__, op.name))
         op = op.input_dependencies[0] if op.input_dependencies else None
-    assert ops[0] == ("TaskPoolMapOperator", "MapBatches(extract)->MapBatches(_link_batch)")
+    return ops
+
+
+def test_link_stage_is_one_fused_task_map(ray_session, corpus_dir):
+    """No actor pool and no batch size: over one-group span files the read,
+    extract and link maps fuse into one task operator, and a link
+    concurrency cap keeps link its own operator behind the fused read and
+    extract; the retired (min, max) pool sizing fails loudly."""
+    import ray as _ray
+
+    path, spec = corpus_dir
+    indexes_ref = _ray.put(build_link_indexes(link_tables(spec)))
+    docs = extract_docs(read_documents(path), DEFAULT_CONFIG)
+    ops = _physical_ops(link_entities(docs, indexes_ref))
+    assert ops[:2] == [
+        ("TaskPoolMapOperator", "ReadParquet->MapBatches(extract)->MapBatches(_link_batch)"),
+        ("InputDataBuffer", "Input"),
+    ]
     assert not any(kind == "ActorPoolMapOperator" for kind, _ in ops)
+    assert _physical_ops(link_entities(docs, indexes_ref, concurrency=1))[:3] == [
+        ("TaskPoolMapOperator", "MapBatches(_link_batch)"),
+        ("TaskPoolMapOperator", "ReadParquet->MapBatches(extract)"),
+        ("InputDataBuffer", "Input"),
+    ]
     with pytest.raises(TypeError, match="concurrency"):
         link_entities(docs, indexes_ref, concurrency=(2, 8))
 
@@ -755,6 +772,26 @@ def test_extract_prune_equivalence(ray_session, corpus_dir):
     pruned = pruned.sort_values(key).reset_index(drop=True)
     full = full.sort_values(key).reset_index(drop=True)
     assert (pruned["doc_json"] == full["doc_json"]).all()
+
+
+def test_extract_decodes_a_large_block_in_slices(ray_session, tmp_path):
+    """Extract takes whole blocks and decodes them in 512-row slices: 1,100
+    docs read as one block give the same docs as read in 100-row groups."""
+    import pyarrow.parquet as pq
+
+    write_corpus(str(tmp_path / "one"), CorpusSpec(n_docs=1100, seed=42), rows_per_file=1100)
+    spans = pq.read_table(tmp_path / "one")
+    (tmp_path / "groups").mkdir()
+    pq.write_table(spans, tmp_path / "groups" / "part-00000.parquet", row_group_size=100)
+    key = ["doc_id", "entity_class", "canon_key"]
+    got = {}
+    for name, blocks in (("one", 1), ("groups", 11)):
+        read = read_documents(str(tmp_path / name))
+        assert read.materialize().num_blocks() == blocks
+        docs = extract_docs(read, DEFAULT_CONFIG).to_pandas()
+        got[name] = docs.sort_values(key).reset_index(drop=True)
+    assert got["one"]["doc_id"].nunique() == 1100
+    assert got["one"].equals(got["groups"])
 
 
 def test_idfile_read(ray_session, corpus_dir):
@@ -902,7 +939,7 @@ def test_link_stage_wikipedia_categories(ray_session, corpus_dir):
 
     indexes_ref = _ray.put(build_link_indexes(link_tables(spec)))
     docs = extract_docs(read_documents(path), DEFAULT_CONFIG)
-    linked = link_entities(docs, indexes_ref, batch_size=64)
+    linked = link_entities(docs, indexes_ref)
     rows = linked.to_pandas()
     cats = []
     for doc_json in rows["doc_json"]:
