@@ -124,19 +124,13 @@ def read_parquet_row_groups(paths: str | list[str], **kwargs: Any) -> ray.data.D
     cuts its output into the blocks (and splits a block above
     ``DataContext.target_max_block_size``)."""
     if "override_num_blocks" not in kwargs:
-        kwargs["override_num_blocks"] = max(
-            1, sum(f.num_row_groups for f in _parquet_fragments(paths))
-        )
+        import pyarrow.parquet as pq
+
+        # the files Ray reads: a list of one directory is that directory
+        files = paths[0] if not isinstance(paths, str) and len(paths) == 1 else paths
+        fragments = pq.ParquetDataset(files, partitioning=None).fragments
+        kwargs["override_num_blocks"] = max(1, sum(f.num_row_groups for f in fragments))
     return ray.data.read_parquet(paths, **kwargs)
-
-
-def _parquet_fragments(paths: str | list[str]) -> list:
-    """The parquet files Ray reads for ``paths``, from their footers."""
-    import pyarrow.parquet as pq
-
-    # a list of one directory is that directory
-    files = paths[0] if not isinstance(paths, str) and len(paths) == 1 else paths
-    return pq.ParquetDataset(files, partitioning=None).fragments
 
 
 def read_documents(
@@ -155,13 +149,9 @@ def read_documents(
     parquet the read is one block per row group
     (:func:`read_parquet_row_groups`): a shard of up to 2,048 docs is one
     block, so phase 1 runs one extract task on the session's warm worker.
-
-    A read with a query is one block per file instead.  Ray cuts a file's
-    filtered rows into its row-group count of blocks, and the ones the
-    filter emptied come out schemaless; whole-block maps pass them on
-    unchanged, and each logs "RefBundle with a different schema".  A file
-    read as one block also fuses with extract.  The trade-off: a query that
-    keeps most of one large file leaves that file one extract task.
+    A read with a query keeps the same blocks: Ray cuts a file's filtered
+    rows into its row-group count of blocks, so a selective query leaves
+    some of them empty.
     """
     if columns is None:
         columns = ["doc_id", "spans"]
@@ -170,8 +160,6 @@ def read_documents(
         kwargs["filter"] = predicate
     if format == "lance" and HAVE_LANCE:
         return ray.data.read_lance(path, columns=columns, **kwargs)
-    if predicate is not None:
-        kwargs.setdefault("override_num_blocks", len(_parquet_fragments(path)))
     return read_parquet_row_groups(path, columns=columns, **kwargs)
 
 

@@ -28,8 +28,7 @@ its own batch size: extract and link take whole blocks.  A span shard of
 up to 2,048 docs (one group) runs phase 1 as one fused
 ``ReadParquet->MapBatches(extract)->MapBatches(_link_batch)`` task and one
 write task.  A file of several groups gets one extract task per group, but
-its read (``ReadParquet->SplitBlocks(n)``) does not fuse with extract; a
-read with a ``query`` is one block per file, and fuses.
+its read (``ReadParquet->SplitBlocks(n)``) does not fuse with extract.
 
 Dead letters (``_error`` and ``_dropped`` docs) stop at the docs
 checkpoint: canonicalize drops them, so the run manifest's

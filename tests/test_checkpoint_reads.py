@@ -87,25 +87,10 @@ def test_read_documents_is_one_block_per_row_group(ray_session, tmp_path):
     assert ds.num_blocks() == 6 and ds.count() == 60
     # a caller's explicit block count still wins
     assert read_documents(str(tmp_path), override_num_blocks=2).materialize().num_blocks() == 2
-    # a read with a query is one block per file
+    # a read with a query keeps the same rule
     query = [("doc_id", ">=", "part-0")]
-    assert read_documents(str(tmp_path), query=query).materialize().num_blocks() == 3
-
-
-def test_a_prefiltered_multi_group_read_fuses_with_extract(ray_session, tmp_path):
-    """A query read is one block per file, so even a file of several row
-    groups reads without a block split and fuses with the whole-block
-    extract map (an unfiltered read of it is ``ReadParquet->SplitBlocks``,
-    which Ray does not fuse)."""
-    from ray.data._internal.logical.optimizers import get_execution_plan
-
-    from esmarc_ray.io import read_documents
-    from esmarc_ray.stages.extract import extract_docs
-
-    _write(tmp_path / "part-0.parquet", rows=60, row_group_size=10)
-    query = [("doc_id", "in", ["part-0-00000", "part-0-00001"])]
-    docs = extract_docs(read_documents(str(tmp_path), query=query))
-    assert get_execution_plan(docs._logical_plan).dag.name == "ReadParquet->MapBatches(extract)"
+    ds = read_documents(str(tmp_path), query=query).materialize()
+    assert ds.num_blocks() == 6 and ds.count() == 60
 
 
 def test_a_one_group_span_file_is_one_block(ray_session, tmp_path):
